@@ -67,11 +67,8 @@ from .spectrum import (
     Spectrum,
     StepSpectrum,
     load_spectrum,
-    lq_norm,
     spectrum_from_dict,
     step_approx,
-    tail_weight,
-    validate,
 )
 from .stepdist import (
     InputFormatError,
@@ -120,7 +117,6 @@ __all__ = [
     "load_spectrum",
     "lp_escape",
     "lp_escape_limit",
-    "lq_norm",
     "measure_from_dict",
     "measure_to_dict",
     "mixture_risk",
@@ -142,6 +138,4 @@ __all__ = [
     "step_approx",
     "step_density_approx",
     "sup_risk",
-    "tail_weight",
-    "validate",
 ]

@@ -23,12 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import Spectrum
+from .spectrum import Spectrum, scan_gaps, sup_with_limit
 from .stepdist import PairedSample, StepQuantile, _comonotone_rows
-
-#: fallback mesh when a spectrum declares no density supremum
-_FALLBACK_POINTS = 4096
-_FALLBACK_SMALLEST_GAP = 1e-12
 
 #: dominance margins may undershoot zero by this much and still certify
 DOMINANCE_SLACK = 1e-12
@@ -63,42 +59,21 @@ class DominanceCertificate:
     margin: float
 
 
-def _checkpoint_gaps(z_abs: StepQuantile, sigma: Spectrum) -> np.ndarray:
-    """Descending kink gaps of G and S in (0, 1], always including 1."""
-    gaps = z_abs.tail_masses[:-1]
-    nodes = np.asarray(getattr(sigma, "_gap_nodes", ()), dtype=float)
-    gaps = np.concatenate([gaps, nodes, [1.0]])
-    gaps = np.unique(gaps[(gaps > 0.0) & (gaps <= 1.0)])[::-1]
-    return gaps
-
-
-def _ratio_scan(z_abs: StepQuantile, sigma: Spectrum, gaps: np.ndarray) -> tuple[float, float]:
-    """Max of G/S over the given gaps; returns (value, attaining alpha)."""
-    G = np.atleast_1d(z_abs.upper_integral(gaps))
-    S = np.atleast_1d(np.asarray(sigma.tail_from_gap(gaps), dtype=float))
-    ratio = G / S
-    i = int(np.argmax(ratio))
-    return float(ratio[i]), float(1.0 - gaps[i])
-
-
 def dual_norm(Z: StepQuantile, sigma: Spectrum) -> DualNorm:
     """Dual gauge of ``Z``: sup over levels of (1-a) AVaR_a(|Z|) / S(a)."""
     sigma.require_valid()
     z_abs = Z.abs()
-    gaps = _checkpoint_gaps(z_abs, sigma)
-    unverified = False
-    if sigma.density_sup is None:
-        mesh = np.geomspace(1.0, _FALLBACK_SMALLEST_GAP, _FALLBACK_POINTS)
-        gaps = np.unique(np.concatenate([gaps, mesh]))[::-1]
+    unverified = sigma.density_sup is None
+    gaps = scan_gaps([sigma], z_abs.tail_masses, dense=unverified)
+    if unverified:
         limit = -math.inf
-        unverified = True
     elif math.isinf(sigma.density_sup):
         limit = 0.0
     else:
         limit = z_abs.max_value / sigma.density_sup
-    value, alpha = _ratio_scan(z_abs, sigma, gaps)
-    if limit > value:
-        value, alpha = limit, 1.0
+    G = z_abs.upper_integral(gaps)
+    S = np.asarray(sigma.tail_from_gap(gaps), dtype=float)
+    value, alpha = sup_with_limit(G / S, gaps, limit)
     return DualNorm(value, alpha, unverified)
 
 
@@ -113,9 +88,9 @@ def dominates(Z: StepQuantile, sigma: Spectrum, eta: float) -> DominanceCertific
         raise ValueError("dominance factor eta must be positive")
     sigma.require_valid()
     z_abs = Z.abs()
-    gaps = _checkpoint_gaps(z_abs, sigma)
-    G = np.atleast_1d(z_abs.upper_integral(gaps))
-    S = np.atleast_1d(np.asarray(sigma.tail_from_gap(gaps), dtype=float))
+    gaps = scan_gaps([sigma], z_abs.tail_masses)
+    G = z_abs.upper_integral(gaps)
+    S = np.asarray(sigma.tail_from_gap(gaps), dtype=float)
     margins = (eta * S - G) / gaps
     alphas = 1.0 - gaps
     if sigma.density_sup is not None and math.isfinite(sigma.density_sup):
@@ -148,7 +123,8 @@ def hahn_banach_witness(sigma: Spectrum, dist: StepQuantile) -> PairedSample:
 
     Z* places sigma's density comonotonically on |Y| and restores Y's sign,
     with sign 0 := +1.  Exact for step spectra, whose density is constant on
-    each refined piece; unbounded spectra have no attaining dual element.
+    each refined piece and is read there rather than averaged over a piece
+    perhaps one ulp wide.  Unbounded spectra have no attaining dual element.
     """
     sigma.require_valid()
     if not sigma.is_step:
@@ -158,8 +134,8 @@ def hahn_banach_witness(sigma: Spectrum, dist: StepQuantile) -> PairedSample:
         )
     order = np.argsort(np.abs(dist.values), kind="stable")
     vals, mass = dist.values[order], dist.masses[order]
-    y, z, w = _comonotone_rows(vals, mass, sigma)
-    z = z * np.where(y < 0, -1.0, 1.0)
+    y, _, w, top = _comonotone_rows(vals, mass, sigma)
+    z = sigma.density_from_gap(top) * np.where(y < 0, -1.0, 1.0)
     return PairedSample(y, z, w)
 
 
@@ -173,8 +149,8 @@ def quantile_density_ratio_bound(Z: StepQuantile, sigma: Spectrum) -> float:
     """
     sigma.require_valid()
     z_abs = Z.abs()
-    gaps = _checkpoint_gaps(z_abs, sigma)
-    q = np.atleast_1d(z_abs.value_at_gap(gaps))
+    gaps = scan_gaps([sigma], z_abs.tail_masses)
+    q = z_abs.value_at_gap(gaps)
     dens = np.asarray(sigma.density_from_gap(gaps), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(q == 0.0, 0.0, q / dens)

@@ -3,8 +3,8 @@
 Two spectra are compared through their tail weights: the best constant in
 ``||Y||_target <= c ||Y||_source`` is ``sup S_target / S_source`` over the
 levels, and the sup is attained (or approached) on event indicators.  The
-ratio is scanned exactly at the union of breakpoint gaps whenever both
-spectra have piecewise structure; the remaining ``a -> 1`` behaviour is an
+ratio is scanned exactly at the union of kink gaps whenever both
+spectra declare ``kink_gaps``; the remaining ``a -> 1`` behaviour is an
 order comparison of the declared tail asymptotics: a slower tail decay in
 the target forces the constant to infinity.
 """
@@ -17,11 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .risk import avar
-from .spectrum import PowerSqrtSpectrum, Spectrum
+from .spectrum import Spectrum, scan_gaps, sup_with_limit
 from .stepdist import StepQuantile
-
-_GRID_POINTS = 4096
-_GRID_SMALLEST_GAP = 1e-12
 
 #: AVaR sandwich inequalities may undershoot by this much and still certify
 SANDWICH_SLACK = 1e-12
@@ -53,21 +50,6 @@ class SandwichReport:
     holds: bool
 
 
-def _has_exact_scan(sigma: Spectrum) -> bool:
-    return sigma.is_step or isinstance(sigma, PowerSqrtSpectrum)
-
-
-def _union_gaps(source: Spectrum, target: Spectrum, dense: bool) -> np.ndarray:
-    parts = [np.asarray([1.0])]
-    for s in (source, target):
-        nodes = np.asarray(getattr(s, "_gap_nodes", ()), dtype=float)
-        parts.append(nodes)
-    if dense:
-        parts.append(np.geomspace(1.0, _GRID_SMALLEST_GAP, _GRID_POINTS))
-    gaps = np.concatenate(parts)
-    return np.unique(gaps[(gaps > 0.0) & (gaps <= 1.0)])[::-1]
-
-
 def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConstant:
     """Smallest c with ||Y||_target <= c ||Y||_source, as sup of tail ratios.
 
@@ -80,7 +62,7 @@ def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConst
     target.require_valid()
     o1, k1 = source.tail_order, source.tail_coeff
     o2, k2 = target.tail_order, target.tail_coeff
-    dense = not (_has_exact_scan(source) and _has_exact_scan(target))
+    dense = source.kink_gaps is None or target.kink_gaps is None
     if None in (o1, k1, o2, k2):
         dense = True
         limit = -math.inf
@@ -92,14 +74,10 @@ def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConst
         limit = math.inf if k2 > 0 else 0.0
     else:
         limit = k2 / k1
-    gaps = _union_gaps(source, target, dense)
+    gaps = scan_gaps((source, target), dense=dense)
     s1 = np.asarray(source.tail_from_gap(gaps), dtype=float)
     s2 = np.asarray(target.tail_from_gap(gaps), dtype=float)
-    ratio = s2 / s1
-    i = int(np.argmax(ratio))
-    value, alpha = float(ratio[i]), float(1.0 - gaps[i])
-    if limit > value:
-        value, alpha = limit, 1.0
+    value, alpha = sup_with_limit(s2 / s1, gaps, limit)
     return EmbeddingConstant(value, alpha, dense)
 
 

@@ -66,7 +66,7 @@ class DivergenceReport:
 def _band_edges(sigma: Spectrum, g_hi: float, g_lo: float, submesh: int) -> np.ndarray:
     """Descending gap edges refining one band (g_lo, g_hi]."""
     if sigma.is_step:
-        nodes = np.asarray(sigma._gap_nodes, dtype=float)
+        nodes = sigma.kink_gaps
         inner = nodes[(nodes > g_lo) & (nodes < g_hi)][::-1]
         return np.concatenate([[g_hi], inner, [g_lo]])
     return np.geomspace(g_hi, g_lo, submesh + 1)

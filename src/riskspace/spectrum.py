@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,8 +28,9 @@ log = logging.getLogger(__name__)
 #: spectra are rescaled to unit mass when within this of 1, rejected otherwise
 NORMALIZATION_ATOL = 1e-10
 
-_MESH_POINTS = 4096
-_MESH_SMALLEST_GAP = 1e-12
+#: geometric gap mesh scanned where a spectrum declares no exact structure
+FALLBACK_GAPS = np.geomspace(1.0, 1e-12, 4096)
+FALLBACK_GAPS.setflags(write=False)
 
 
 class InvalidSpectrumError(ValueError):
@@ -52,6 +54,28 @@ class Violation:
         return f"{self.prop} at u={self.at:.6g}: {self.detail}"
 
 
+def _violations_of(at, vals, what: str, drop_tol: float, mass: float) -> list[Violation]:
+    """First negative value, first drop beyond ``drop_tol``, and a mass off 1."""
+    out: list[Violation] = []
+    neg = np.nonzero(vals < 0)[0]
+    if neg.size:
+        i = int(neg[0])
+        out.append(Violation("nonnegativity", float(at[i]), f"{what} {vals[i]:.6g} < 0"))
+    drops = np.nonzero(np.diff(vals) < -drop_tol)[0]
+    if drops.size:
+        i = int(drops[0])
+        out.append(
+            Violation(
+                "monotonicity",
+                float(at[i + 1]),
+                f"{what} falls from {vals[i]:.6g} to {vals[i + 1]:.6g}",
+            )
+        )
+    if not abs(mass - 1.0) <= NORMALIZATION_ATOL:
+        out.append(Violation("normalization", 0.0, f"total mass {mass:.12g} != 1"))
+    return out
+
+
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     return np.atleast_1d(arr), arr.ndim == 0
@@ -59,6 +83,17 @@ def _as_float_array(x) -> tuple[np.ndarray, bool]:
 
 def _maybe_scalar(arr: np.ndarray, scalar: bool):
     return float(arr[0]) if scalar else arr
+
+
+def _power_mean(values: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """(sum weights * values**p)**(1/p), rescaled by the maximum when the
+    plain power sum overflows or falls below the smallest normal double."""
+    with np.errstate(over="ignore"):
+        power = float(np.dot(values**p, weights))
+    top = float(np.max(values))
+    if top > 0 and not sys.float_info.min <= power < math.inf:
+        return top * float(np.dot((values / top) ** p, weights)) ** (1.0 / p)
+    return float(power ** (1.0 / p))
 
 
 class Spectrum:
@@ -69,8 +104,14 @@ class Spectrum:
     no exact check exists.
     """
 
+    #: result of ``validate``, computed on first use
+    _violations: tuple[Violation, ...] | None = None
+
     #: True for spectra with an exact step representation
     is_step: bool = False
+    #: gaps g at which S(1 - g) may kink; between them the exact scans need
+    #: only the ends of each piece.  None means no exact structure is known.
+    kink_gaps: np.ndarray | None = None
 
     # -- evaluation ------------------------------------------------------
 
@@ -129,32 +170,14 @@ class Spectrum:
         Returns an empty list iff the spectrum is a valid spectral density.
         Callable spectra are checked on a geometric mesh refining toward 1.
         """
-        cached = getattr(self, "_violations", None)
-        if cached is not None:
-            return list(cached)
-        gaps = np.geomspace(1.0, _MESH_SMALLEST_GAP, _MESH_POINTS)
-        u = 1.0 - gaps
+        if self._violations is None:
+            object.__setattr__(self, "_violations", tuple(self._check()))
+        return list(self._violations)
+
+    def _check(self) -> list[Violation]:
+        u = 1.0 - FALLBACK_GAPS
         vals = np.asarray(self.density(u), dtype=float)
-        out: list[Violation] = []
-        neg = np.nonzero(vals < 0)[0]
-        if neg.size:
-            i = int(neg[0])
-            out.append(Violation("nonnegativity", float(u[i]), f"density {vals[i]:.6g} < 0"))
-        drops = np.nonzero(np.diff(vals) < -1e-12)[0]
-        if drops.size:
-            i = int(drops[0])
-            out.append(
-                Violation(
-                    "monotonicity",
-                    float(u[i + 1]),
-                    f"density falls from {vals[i]:.6g} to {vals[i + 1]:.6g}",
-                )
-            )
-        mass = float(self.tail(0.0))
-        if not abs(mass - 1.0) <= NORMALIZATION_ATOL:
-            out.append(Violation("normalization", 0.0, f"total mass {mass:.12g} != 1"))
-        object.__setattr__(self, "_violations", tuple(out))
-        return out
+        return _violations_of(u, vals, "density", 1e-12, float(self.tail(0.0)))
 
     def require_valid(self) -> None:
         violations = self.validate()
@@ -211,7 +234,7 @@ class StepSpectrum(Spectrum):
         gap_tail = np.concatenate([[0.0], np.cumsum(cell_mass)])
         for arr in (gap_nodes, gap_density, gap_tail):
             arr.setflags(write=False)
-        object.__setattr__(self, "_gap_nodes", gap_nodes)
+        object.__setattr__(self, "kink_gaps", gap_nodes)
         object.__setattr__(self, "_gap_density", gap_density)
         object.__setattr__(self, "_gap_tail", gap_tail)
 
@@ -240,7 +263,7 @@ class StepSpectrum(Spectrum):
     def _gap_cell(self, g_arr: np.ndarray) -> np.ndarray:
         # cell i covers gaps (nodes[i], nodes[i+1]]; g = 0 maps to the top cell
         return np.clip(
-            np.searchsorted(self._gap_nodes, g_arr, side="left") - 1,
+            np.searchsorted(self.kink_gaps, g_arr, side="left") - 1,
             0,
             self._gap_density.size - 1,
         )
@@ -248,7 +271,7 @@ class StepSpectrum(Spectrum):
     def tail_from_gap(self, g):
         g_arr, scalar = _as_float_array(g)
         idx = self._gap_cell(g_arr)
-        out = self._gap_tail[idx] + self._gap_density[idx] * (g_arr - self._gap_nodes[idx])
+        out = self._gap_tail[idx] + self._gap_density[idx] * (g_arr - self.kink_gaps[idx])
         return _maybe_scalar(out, scalar)
 
     def lq_norm(self, q: float) -> float:
@@ -256,10 +279,7 @@ class StepSpectrum(Spectrum):
             raise ValueError("Lq norms need q >= 1")
         if math.isinf(q):
             return float(np.max(self.values))
-        widths = np.diff(self.breakpoints)
-        with np.errstate(over="ignore"):
-            power = float(np.dot(self.values**q, widths))
-        return float(power ** (1.0 / q))
+        return _power_mean(self.values, np.diff(self.breakpoints), q)
 
     # -- tail asymptotics --------------------------------------------------
 
@@ -280,14 +300,14 @@ class StepSpectrum(Spectrum):
     def _power_nodes(self, q: float) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore"):
             dq = self._gap_density**q
-        tails = np.concatenate([[0.0], np.cumsum(dq * np.diff(self._gap_nodes))])
+        tails = np.concatenate([[0.0], np.cumsum(dq * np.diff(self.kink_gaps))])
         return dq, tails
 
     def tail_power_integral(self, g, q: float):
         g_arr, scalar = _as_float_array(g)
         dq, tails = self._power_nodes(q)
         idx = self._gap_cell(g_arr)
-        out = tails[idx] + dq[idx] * (g_arr - self._gap_nodes[idx])
+        out = tails[idx] + dq[idx] * (g_arr - self.kink_gaps[idx])
         return _maybe_scalar(out, scalar)
 
     def invert_tail_power(self, target: float, q: float) -> float:
@@ -300,37 +320,14 @@ class StepSpectrum(Spectrum):
         if i >= dq.size:
             return 1.0
         if dq[i] == 0.0:
-            return float(self._gap_nodes[i])
-        return float(self._gap_nodes[i] + (target - tails[i]) / dq[i])
+            return float(self.kink_gaps[i])
+        return float(self.kink_gaps[i] + (target - tails[i]) / dq[i])
 
     # -- validation (exact) -------------------------------------------------
 
-    def validate(self) -> list[Violation]:
-        cached = getattr(self, "_violations", None)
-        if cached is not None:
-            return list(cached)
-        out: list[Violation] = []
-        neg = np.nonzero(self.values < 0)[0]
-        if neg.size:
-            i = int(neg[0])
-            out.append(
-                Violation("nonnegativity", float(self.breakpoints[i]), f"value {self.values[i]:.6g} < 0")
-            )
-        drops = np.nonzero(np.diff(self.values) < 0)[0]
-        if drops.size:
-            i = int(drops[0])
-            out.append(
-                Violation(
-                    "monotonicity",
-                    float(self.breakpoints[i + 1]),
-                    f"value falls from {self.values[i]:.6g} to {self.values[i + 1]:.6g}",
-                )
-            )
+    def _check(self) -> list[Violation]:
         integral = float(np.dot(self.values, np.diff(self.breakpoints)))
-        if not abs(integral - 1.0) <= NORMALIZATION_ATOL:
-            out.append(Violation("normalization", 0.0, f"total mass {integral:.12g} != 1"))
-        object.__setattr__(self, "_violations", tuple(out))
-        return out
+        return _violations_of(self.breakpoints, self.values, "value", 0.0, integral)
 
     def to_dict(self) -> dict:
         return {
@@ -371,6 +368,8 @@ class PowerSqrtSpectrum(Spectrum):
     density_sup = math.inf
     tail_order = 0.5
     tail_coeff = 1.0
+    # sqrt(g) has no kinks; the scans are exact against its concave tail
+    kink_gaps = np.empty(0)
 
     def density(self, u):
         u_arr, scalar = _as_float_array(u)
@@ -460,8 +459,7 @@ class GeneralSpectrum(Spectrum):
         if math.isinf(q):
             if self.density_sup is not None:
                 return float(self.density_sup)
-            gaps = np.geomspace(1.0, _MESH_SMALLEST_GAP, _MESH_POINTS)
-            return float(np.max(self.density(1.0 - gaps)))
+            return float(np.max(self.density(1.0 - FALLBACK_GAPS)))
         power, _ = integrate.quad(
             lambda u: float(self.density(u)) ** q, 0.0, 1.0, epsrel=1e-9, limit=200
         )
@@ -510,22 +508,32 @@ class GeneralSpectrum(Spectrum):
         return f"GeneralSpectrum(name={self.name!r}, q_exponent={self.q_exponent!r})"
 
 
-# -- operation-shaped wrappers ------------------------------------------------
+# -- exact kink scans -----------------------------------------------------------
 
 
-def validate(sigma: Spectrum) -> list[Violation]:
-    """Diagnostics for ``sigma``; empty iff it is a valid spectral density."""
-    return sigma.validate()
+def scan_gaps(spectra: Sequence[Spectrum], *extra, dense: bool = False) -> np.ndarray:
+    """Descending gaps in (0, 1] at which a tail-ratio scan is exact.
+
+    The union of the gap 1, each spectrum's ``kink_gaps``, the ``extra`` gap
+    arrays, and ``FALLBACK_GAPS`` when ``dense`` is set.
+    """
+    parts = [np.ones(1), *extra, *(s.kink_gaps for s in spectra if s.kink_gaps is not None)]
+    if dense:
+        parts.append(FALLBACK_GAPS)
+    gaps = np.concatenate(parts)
+    return np.unique(gaps[(gaps > 0.0) & (gaps <= 1.0)])[::-1]
 
 
-def tail_weight(sigma: Spectrum, alpha) -> float:
-    """S(alpha), the mass sigma puts on [alpha, 1)."""
-    return sigma.tail(alpha)
+def sup_with_limit(ratio: np.ndarray, gaps: np.ndarray, limit: float) -> tuple[float, float]:
+    """Supremum of a ratio scanned at ``gaps``, with its level ``1 - g``.
 
-
-def lq_norm(sigma: Spectrum, q: float) -> float:
-    """Lq norm of the density; +inf when sigma**q is not integrable."""
-    return sigma.lq_norm(q)
+    The declared ``a -> 1`` limit wins, at level 1.0, when it is larger.
+    """
+    i = int(np.argmax(ratio))
+    value, alpha = float(ratio[i]), float(1.0 - gaps[i])
+    if limit > value:
+        return limit, 1.0
+    return value, alpha
 
 
 def step_approx(sigma: Spectrum, n_cells: int) -> tuple[StepSpectrum, float]:
@@ -569,10 +577,6 @@ def spectrum_from_dict(data: dict) -> Spectrum:
             raise ValueError("step spectrum needs 'breakpoints' and 'values'")
         return StepSpectrum(data["breakpoints"], data["values"])
     raise ValueError(f"unknown spectrum kind {kind!r}")
-
-
-def spectrum_to_dict(sigma: Spectrum) -> dict:
-    return sigma.to_dict()
 
 
 def load_spectrum(path) -> Spectrum:

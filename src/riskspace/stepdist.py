@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _power_mean, scan_gaps
 
 
 class InputFormatError(ValueError):
@@ -142,8 +142,8 @@ class StepQuantile:
     # -- point evaluation --------------------------------------------------
 
     def quantile(self, p: float) -> float:
-        """Left-continuous lower quantile: inf{y : P(Y <= y) >= p}... evaluated
-        on the step data as the value whose cumulative interval contains p."""
+        """Right-continuous quantile inf{y : P(Y <= y) > p}: the value whose
+        cumulative interval [P(Y < y), P(Y <= y)) contains p."""
         if not 0.0 <= p < 1.0:
             raise ValueError("quantile levels lie in [0, 1)")
         cum = np.cumsum(self.masses)
@@ -201,11 +201,7 @@ class StepQuantile:
         a = np.abs(self.values)
         if math.isinf(p):
             return float(a[-1] if a[-1] >= a[0] else a[0])
-        with np.errstate(over="ignore"):
-            power = float(np.dot(a**p, self.masses))
-        if math.isinf(power):
-            return math.inf
-        return float(power ** (1.0 / p))
+        return _power_mean(a, self.masses, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,16 +238,16 @@ class PairedSample:
 
 def _comonotone_rows(
     values: np.ndarray, masses: np.ndarray, sigma: Spectrum
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refine an explicit segment arrangement against sigma's gap cells.
 
-    Returns (value, z, width) rows where z is the average density over the
-    refined piece, making sum(w * value * z) the exact quantile integral.
+    Returns (value, z, width, upper gap) rows where z is the average density
+    over the piece, making sum(w * value * z) the exact quantile integral.
     """
     tails = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
     seg_gaps = tails  # descending, one boundary per segment edge
-    extra = np.asarray(getattr(sigma, "_gap_nodes", np.array([0.0, 1.0])), dtype=float)
-    extra = extra[(extra > 0.0) & (extra < seg_gaps[0])]
+    extra = scan_gaps([sigma])
+    extra = extra[extra < seg_gaps[0]]
     grid = np.unique(np.concatenate([seg_gaps, extra]))[::-1]  # descending gaps
     widths = grid[:-1] - grid[1:]
     # piece i spans gaps (grid[i+1], grid[i]]; segment k owns gaps
@@ -263,7 +259,7 @@ def _comonotone_rows(
     keep = widths > 0
     widths, sig_mass, seg_idx = widths[keep], sig_mass[keep], seg_idx[keep]
     z = sig_mass / widths
-    return values[seg_idx], z, widths
+    return values[seg_idx], z, widths, grid[:-1][keep]
 
 
 def comonotone_pair(dist: StepQuantile, sigma: Spectrum) -> PairedSample:
@@ -273,7 +269,7 @@ def comonotone_pair(dist: StepQuantile, sigma: Spectrum) -> PairedSample:
     weighted pairing equals the quantile integral of the risk functional.
     """
     sigma.require_valid()
-    y, z, w = _comonotone_rows(dist.values, dist.masses, sigma)
+    y, z, w, _ = _comonotone_rows(dist.values, dist.masses, sigma)
     return PairedSample(y, z, w)
 
 
@@ -300,26 +296,24 @@ def _parse_row(row: list[str], lineno: int, expect: int | None) -> tuple[tuple[f
 def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read observations from CSV: ``value`` or ``value,weight`` per row.
 
-    A header row is detected by a non-numeric first row and skipped.  Blank
-    lines are ignored.  Weights, when present, must be strictly positive.
+    A first row with a cell that is not a number is a header and skipped.
+    A byte-order mark and blank lines are ignored.  Weights, when present,
+    must be strictly positive.
     """
     rows: list[tuple[float, ...]] = []
     expect: int | None = None
-    first_data_seen = False
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    header_checked = False
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not c.strip() for c in row):
                 continue
-            if not first_data_seen:
+            if not header_checked:
+                header_checked = True
                 try:
-                    parsed, ncols = _parse_row(row, lineno, None)
-                except InputFormatError:
-                    # non-numeric first row: a header
-                    first_data_seen = True
-                    continue
-                first_data_seen = True
-            else:
-                parsed, ncols = _parse_row(row, lineno, expect)
+                    list(map(float, row))
+                except ValueError:
+                    continue  # a cell that is not a number: a header
+            parsed, ncols = _parse_row(row, lineno, expect)
             if expect is None:
                 expect = ncols
             rows.append(parsed)

@@ -56,10 +56,6 @@ def _conjugate(q: float) -> float:
     return q / (q - 1.0)
 
 
-def _norm_of(sigma, dist) -> float:
-    return sigma_norm(sigma, dist)
-
-
 # -- distribution model --------------------------------------------------------
 
 
@@ -166,8 +162,8 @@ def _subadditive(rng) -> float:
     sig = sampling.random_step_spectrum(rng)
     joint = sampling.random_joint(rng)
     total = StepQuantile.from_segments(joint.y + joint.z, joint.w)
-    lhs = _norm_of(sig, total)
-    return _norm_of(sig, joint.y_marginal()) + _norm_of(sig, joint.z_marginal()) - lhs + 1e-12
+    lhs = sigma_norm(sig, total)
+    return sigma_norm(sig, joint.y_marginal()) + sigma_norm(sig, joint.z_marginal()) - lhs + 1e-12
 
 
 @_invariant("risk-lipschitz", "|rho(Y) - rho(Z)| <= ||Y - Z||_sigma + 1e-9")
@@ -177,7 +173,7 @@ def _lipschitz(rng) -> float:
     drift = abs(
         spectral_risk(sig, joint.y_marginal()) - spectral_risk(sig, joint.z_marginal())
     )
-    dist = _norm_of(sig, StepQuantile.from_segments(joint.y - joint.z, joint.w))
+    dist = sigma_norm(sig, StepQuantile.from_segments(joint.y - joint.z, joint.w))
     return dist - drift + 1e-9
 
 
@@ -188,14 +184,14 @@ def _lipschitz_tight(rng) -> float:
     zero = StepQuantile([0.0], [1.0])
     flat = StepQuantile([c], [1.0])
     drift = abs(spectral_risk(sig, flat) - spectral_risk(sig, zero))
-    return 1e-12 * max(1.0, abs(c)) - abs(drift - _norm_of(sig, flat))
+    return 1e-12 * max(1.0, abs(c)) - abs(drift - sigma_norm(sig, flat))
 
 
 @_invariant("chebyshev-l1", "||Y||_1 <= ||Y||_sigma + 1e-12")
 def _chebyshev(rng) -> float:
     sig = sampling.random_step_spectrum(rng)
     dist = sampling.random_quantile(rng)
-    return _norm_of(sig, dist) - dist.lp_norm(1.0) + 1e-12
+    return sigma_norm(sig, dist) - dist.lp_norm(1.0) + 1e-12
 
 
 @_invariant("hoelder-lq", "||Y||_sigma <= ||sigma||_q ||Y||_p + 1e-9 for conjugate (p, q)")
@@ -203,14 +199,14 @@ def _hoelder(rng) -> float:
     sig = sampling.random_step_spectrum(rng)
     dist = sampling.random_quantile(rng)
     q = float(rng.choice([1.5, 2.0, 4.0]))
-    return sig.lq_norm(q) * dist.lp_norm(_conjugate(q)) - _norm_of(sig, dist) + 1e-9
+    return sig.lq_norm(q) * dist.lp_norm(_conjugate(q)) - sigma_norm(sig, dist) + 1e-9
 
 
 @_invariant("norm-methods-agree", "quantile-integral and cdf-tail-integral match within 1e-9")
 def _methods_agree(rng) -> float:
     sig = sampling.random_step_spectrum(rng)
     dist = sampling.random_quantile(rng)
-    return 1e-9 - abs(_norm_of(sig, dist) - sigma_norm_via_cdf(sig, dist))
+    return 1e-9 - abs(sigma_norm(sig, dist) - sigma_norm_via_cdf(sig, dist))
 
 
 @_invariant("rearrangement-sup", "the comonotone coupling attains sup E[|Y| Z]; residual <= 1e-9")
@@ -266,7 +262,7 @@ def _pairing_hoelder(rng) -> float:
     sig = sampling.random_step_spectrum(rng)
     joint = sampling.random_joint(rng)
     lhs = abs(dualmod.pairing(joint))
-    primal = _norm_of(sig, joint.y_marginal())
+    primal = sigma_norm(sig, joint.y_marginal())
     dual = dualmod.dual_norm(joint.z_marginal(), sig).value
     return primal * dual - lhs + 1e-9
 
@@ -370,7 +366,7 @@ def _hb_attains(rng) -> float:
     sig = sampling.random_step_spectrum(rng)
     dist = sampling.random_quantile(rng)
     pair = dualmod.hahn_banach_witness(sig, dist)
-    target = _norm_of(sig, dist)
+    target = sigma_norm(sig, dist)
     attain = 1e-10 * max(1.0, target) - abs(dualmod.pairing(pair) - target)
     unit = 1e-10 - abs(dualmod.dual_norm(pair.z_marginal(), sig).value - 1.0)
     return min(attain, unit)
@@ -385,7 +381,7 @@ def _embed_inequality(rng) -> float:
     s2 = sampling.random_step_spectrum(rng)
     dist = sampling.random_quantile(rng, nonnegative=True)
     c = embedding.comparability_constant(s1, s2).value
-    return c * _norm_of(s1, dist) - _norm_of(s2, dist) + 1e-9
+    return c * sigma_norm(s1, dist) - sigma_norm(s2, dist) + 1e-9
 
 
 @_invariant("embedding-at-least-one", "c(sigma1, sigma2) >= 1 (the ratio at level zero)")
@@ -504,7 +500,7 @@ def _quantile_gap_norm(sig, a: StepQuantile, b: StepQuantile) -> float:
     edges = np.concatenate([[0.0], cuts[cuts > 0.0]])
     mids = (edges[:-1] + edges[1:]) / 2.0
     diff = np.array([a.quantile(p) - b.quantile(p) for p in mids])
-    return _norm_of(sig, StepQuantile.from_segments(diff, np.diff(edges)))
+    return sigma_norm(sig, StepQuantile.from_segments(diff, np.diff(edges)))
 
 
 @_invariant("approx-error-certified", "step_density_approx meets its error budget with a finite step output")

@@ -299,6 +299,16 @@ class TestFailureExits:
         assert code == 2
         assert "line 3" in err
 
+    def test_nonfinite_first_row_reports_line(self, files, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("inf\n2\n3\n")
+        code, payload, err = run(
+            capsys, "eval", "--spectrum", files / "avar05.json", "--samples", bad
+        )
+        assert code == 2
+        assert payload is None
+        assert "line 1" in err
+
     def test_nonpositive_weight_reports_line(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,0.5\n2,0\n")

@@ -13,14 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskspace.spectrum import (
+    FALLBACK_GAPS,
     AvarSpectrum,
     GeneralSpectrum,
     PowerSqrtSpectrum,
     Spectrum,
     StepSpectrum,
     load_spectrum,
+    scan_gaps,
     spectrum_from_dict,
     step_approx,
+    sup_with_limit,
 )
 
 
@@ -119,6 +122,11 @@ class TestStepSpectrum:
         s = StepSpectrum([0.0, 0.5, 1.0], [0.5, 1.5])
         assert s.lq_norm(2.0) == pytest.approx(math.sqrt(0.125 + 1.125), abs=1e-15)
 
+    def test_lq_norm_finite_where_the_power_sum_overflows(self):
+        # 2**1100 overflows a double; the norm itself is just below 2
+        s = StepSpectrum([0.0, 0.5, 1.0], [0.0, 2.0])
+        assert s.lq_norm(1100.0) == pytest.approx(2.0 * 0.5 ** (1 / 1100), rel=1e-14)
+
     def test_validate_flags_decreasing(self):
         s = StepSpectrum([0.0, 0.5, 1.0], [1.5, 0.5])
         assert any("monoton" in v.prop or "monoton" in v.detail for v in s.validate())
@@ -151,6 +159,32 @@ class TestStepSpectrum:
         a, b = rng.uniform(0, 1, 2)
         chord = (s.tail(a) + s.tail(b)) / 2.0
         assert s.tail((a + b) / 2.0) >= chord - 1e-12
+
+
+class TestKinkScan:
+    def test_kink_gaps_per_family(self):
+        s = StepSpectrum([0.0, 0.25, 0.5, 1.0], [0.5, 1.0, 1.25])
+        assert s.kink_gaps.tolist() == [0.0, 0.5, 0.75, 1.0]
+        assert PowerSqrtSpectrum().kink_gaps.size == 0
+        flat = GeneralSpectrum(density_fn=np.ones_like, tail_fn=lambda a: 1.0 - a)
+        assert flat.kink_gaps is None
+
+    def test_scan_gaps_union_is_descending_in_unit_interval(self):
+        s = AvarSpectrum(0.75)
+        gaps = scan_gaps([s, PowerSqrtSpectrum()], np.array([0.5, 0.25, 0.0, 1.5]))
+        assert gaps.tolist() == [1.0, 0.5, 0.25]
+
+    def test_scan_gaps_dense_adds_the_fallback_mesh(self):
+        gaps = scan_gaps([PowerSqrtSpectrum()], dense=True)
+        assert np.array_equal(gaps, FALLBACK_GAPS)
+        assert gaps[0] == 1.0 and gaps[-1] == pytest.approx(1e-12, rel=1e-12)
+
+    def test_sup_with_limit(self):
+        gaps = np.array([1.0, 0.5, 0.25])
+        ratio = np.array([1.0, 3.0, 2.0])
+        assert sup_with_limit(ratio, gaps, 2.5) == (3.0, 0.5)
+        assert sup_with_limit(ratio, gaps, 4.0) == (4.0, 1.0)
+        assert sup_with_limit(ratio, gaps, -math.inf) == (3.0, 0.5)
 
 
 class TestGeneralSpectrum:

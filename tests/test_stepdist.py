@@ -58,7 +58,7 @@ class TestConstruction:
 
 class TestQuantile:
     # four equally likely outcomes 1..4; the 0.5-quantile is the third value
-    # because the quantile is the left-continuous generalized inverse
+    # because the quantile is the right-continuous inverse inf{y : F(y) > p}
     def test_median_of_four(self):
         d = StepQuantile.from_samples([1.0, 2.0, 3.0, 4.0])
         assert d.quantile(0.5) == 3.0
@@ -102,6 +102,14 @@ class TestNorms:
     def test_lp_monotone_in_p(self, vm, p, bump):
         d = StepQuantile.from_segments(*vm)
         assert d.lp_norm(p) <= d.lp_norm(p + bump) + 1e-12
+
+    def test_lp_finite_where_the_power_sum_overflows(self):
+        d = StepQuantile.from_samples([1e308, 1.5e308])
+        assert d.lp_norm(2.0) == pytest.approx(np.sqrt(1.625) * 1e308, rel=1e-14)
+
+    def test_lp_nonzero_where_the_power_sum_underflows(self):
+        d = StepQuantile.from_samples([1e-200, 2e-200])
+        assert d.lp_norm(2.0) == pytest.approx(np.sqrt(2.5) * 1e-200, rel=1e-14)
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
@@ -183,6 +191,27 @@ class TestCsv:
         with pytest.raises(InputFormatError) as exc:
             read_samples_csv(f)
         assert exc.value.line == 2
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        f = tmp_path / "e.csv"
+        f.write_bytes(b"\xef\xbb\xbf1\n2\n3\n")
+        values, _ = read_samples_csv(f)
+        assert values.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_nonfinite_first_row_reports_line(self, tmp_path, cell):
+        f = tmp_path / "f.csv"
+        f.write_text(f"{cell}\n2\n3\n")
+        with pytest.raises(InputFormatError) as exc:
+            read_samples_csv(f)
+        assert exc.value.line == 1
+
+    def test_three_numeric_cells_first_row_reports_line(self, tmp_path):
+        f = tmp_path / "g.csv"
+        f.write_text("1,2,3\n2\n3\n")
+        with pytest.raises(InputFormatError) as exc:
+            read_samples_csv(f)
+        assert exc.value.line == 1
 
 
 class TestPairedSample:

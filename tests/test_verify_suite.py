@@ -50,6 +50,11 @@ class TestRunSuite:
             assert entry["passes"] == 3
             assert entry["worst_margin"] >= 0.0
 
+    def test_hahn_banach_witness_on_a_rounding_width_piece(self):
+        # seed 735 draws a spectrum node one ulp from a tail sum of |Y|; the
+        # average density over that piece would put the witness gauge at 1.354
+        assert run_suite(seed=735, cases=4)["failures_total"] == 0
+
     def test_report_shape(self):
         report = run_suite(seed=1, cases=2)
         assert set(report) == {"seed", "cases", "invariants", "failures_total"}
