@@ -14,6 +14,12 @@ piece therefore sits at its ends, so scanning kink gaps plus the ``g -> 0``
 limit evaluates the gauge exactly, with no search and no discretization
 error.
 The same piecewise concavity makes the dominance check exact.
+
+Cost: for ``n`` segments of ``|Z|`` and ``m`` spectrum kinks, a scan
+evaluates ``G`` at its ``n + m`` gaps with one suffix sum and one
+``searchsorted`` (``StepQuantile.upper_integral``), so ``dual_norm``,
+``dominates`` and ``quantile_density_ratio_bound`` take O((n + m) log n)
+time and O(n + m) memory.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .risk import avar, sigma_norm, spectral_risk
+from .risk import sigma_norm, spectral_risk
 from .spectrum import Spectrum, StepSpectrum
 from .stepdist import StepQuantile
 
@@ -118,8 +118,17 @@ def sigma_from_mu(mu: KusuokaMeasure) -> StepSpectrum:
 
 
 def mixture_risk(mu: KusuokaMeasure, dist: StepQuantile) -> float:
-    """Mixture evaluation: sum of w_i * AVaR at level a_i."""
-    return float(sum(w * avar(a, dist) for a, w in zip(mu.levels, mu.weights)))
+    """Mixture evaluation: sum of w_i * AVaR at level a_i.
+
+    One vectorised ``upper_integral`` call over the gaps 1 - a_i evaluates
+    every AVaR below level 1; an atom at level 1 weights the essential
+    supremum.
+    """
+    below = mu.levels < 1.0
+    gaps = 1.0 - mu.levels[below]
+    tails = dist.upper_integral(gaps) / gaps
+    top = float(mu.weights[~below].sum()) * dist.max_value
+    return float(np.dot(mu.weights[below], tails) + top)
 
 
 @dataclass(frozen=True, eq=False)

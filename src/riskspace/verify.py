@@ -64,7 +64,7 @@ def _quantile_monotone(rng) -> float:
     dist = sampling.random_quantile(rng)
     ps = np.sort(np.concatenate([rng.uniform(0, 1, 32), 1.0 - dist.tail_masses[:-1]]))
     ps = np.clip(ps, 0.0, np.nextafter(1.0, 0.0))
-    vals = np.array([dist.quantile(p) for p in ps])
+    vals = dist.quantile(ps)
     return float(np.min(np.diff(vals), initial=np.inf))
 
 
@@ -499,7 +499,7 @@ def _quantile_gap_norm(sig, a: StepQuantile, b: StepQuantile) -> float:
     cuts = np.unique(np.concatenate([np.cumsum(a.masses), np.cumsum(b.masses)]))
     edges = np.concatenate([[0.0], cuts[cuts > 0.0]])
     mids = (edges[:-1] + edges[1:]) / 2.0
-    diff = np.array([a.quantile(p) - b.quantile(p) for p in mids])
+    diff = a.quantile(mids) - b.quantile(mids)
     return sigma_norm(sig, StepQuantile.from_segments(diff, np.diff(edges)))
 
 

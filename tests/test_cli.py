@@ -5,11 +5,14 @@ covers the installed module entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import riskspace
 from riskspace.cli import main
 
 
@@ -346,10 +349,16 @@ class TestFailureExits:
 def test_module_entry_point(tmp_path):
     (tmp_path / "s.json").write_text(json.dumps({"kind": "avar", "alpha": 0.5}))
     (tmp_path / "d.csv").write_text("1\n2\n3\n4\n")
+    # the child imports the same package as these tests, installed or not
+    package_root = str(Path(riskspace.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "riskspace",
          "eval", "--spectrum", str(tmp_path / "s.json"), "--samples", str(tmp_path / "d.csv")],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["value"] == 3.5

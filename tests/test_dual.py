@@ -1,6 +1,7 @@
 """Dual gauge: closed-form values, certificates, attaining elements."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,3 +250,52 @@ class TestQuantileDensityRatio:
         if math.isfinite(bound) and bound > 0:
             assert dominates(Z, sigma, bound * (1.0 + 1e-12)).holds
             assert dual_norm(Z, sigma).value <= bound + 1e-12
+
+
+class TestScale:
+    # the kink scans hold O(n + m) floats: a 10^5-segment payoff stays far
+    # below the 74.5 GiB an n_gaps x n_segments overlap matrix would need
+    SEGMENTS = 100_000
+    PEAK_LIMIT = 64 * 2**20
+
+    def payoff(self):
+        rng = np.random.default_rng(7)
+        return StepQuantile.from_samples(
+            rng.standard_t(3.0, self.SEGMENTS), rng.uniform(0.5, 2.0, self.SEGMENTS)
+        )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.999])
+    def test_avar_gauge_in_linear_memory(self, alpha):
+        Z = self.payoff()
+        sigma = AvarSpectrum(alpha)
+        z_abs = Z.abs()
+        expected = max(z_abs.mean, (1.0 - alpha) * z_abs.max_value)
+        tracemalloc.start()
+        try:
+            dual = dual_norm(Z, sigma)
+            above = dominates(Z, sigma, dual.value * (1.0 + 1e-9))
+            below = dominates(Z, sigma, dual.value * (1.0 - 1e-6))
+            ratio = quantile_density_ratio_bound(Z, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_LIMIT
+        assert dual.value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+        assert above.holds and not below.holds
+        # sigma(u) = 1 everywhere at alpha = 0; otherwise it vanishes below alpha
+        assert ratio == (z_abs.max_value if alpha == 0.0 else math.inf)
+
+    def test_step_spectrum_in_linear_memory(self):
+        Z = self.payoff()
+        sigma = StepSpectrum(np.linspace(0.0, 1.0, 65), np.linspace(0.5, 1.5, 64))
+        tracemalloc.start()
+        try:
+            dual = dual_norm(Z, sigma)
+            ratio = quantile_density_ratio_bound(Z, sigma)
+            holds = dominates(Z, sigma, ratio * (1.0 + 1e-12)).holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_LIMIT
+        assert math.isfinite(ratio) and holds
+        assert dual.value <= ratio + 1e-12

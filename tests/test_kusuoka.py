@@ -104,6 +104,61 @@ class TestMixtureIdentity:
         )
 
 
+class TestVectorisedMixture:
+    # deep-tail law: masses below one ulp of 1, down to 1e-300, carry the
+    # largest values
+    DEEP = StepQuantile(
+        np.array([-3.0, 0.5, 2.0, 40.0, 1e6]), np.array([0.4, 0.3, 0.3, 1e-17, 1e-300])
+    )
+
+    @staticmethod
+    def per_atom(mu, dist):
+        terms = [w * avar(a, dist) for a, w in zip(mu.levels, mu.weights)]
+        return sum(terms), sum(abs(t) for t in terms)
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            [0.0],
+            [0.0, 0.5],
+            [0.0, 1.0],
+            [1.0],
+            [0.25, np.nextafter(1.0, 0.0), 1.0],
+            [0.0, 0.9, 1.0 - 1e-300],  # the last level rounds to exactly 1
+        ],
+    )
+    def test_matches_the_per_atom_sum(self, levels):
+        weights = np.arange(1.0, len(levels) + 1.0)
+        mu = KusuokaMeasure(np.array(levels), weights / weights.sum())
+        for dist in (self.DEEP, StepQuantile.from_samples([1.0, -2.0, 7.5])):
+            want, scale = self.per_atom(mu, dist)
+            got = mixture_risk(mu, dist)
+            assert isinstance(got, float)
+            assert abs(got - want) <= 1e-12 * scale
+
+    def test_level_next_to_one_reaches_the_deep_tail(self):
+        # gap 2^-53 holds the 1e-17 segment (value 40) and the 1e-300 one;
+        # the rest of the gap is the value 2.0 segment
+        gap = 1.0 - np.nextafter(1.0, 0.0)
+        mu = KusuokaMeasure(np.array([1.0 - gap]), np.array([1.0]))
+        want = (2.0 * (gap - 1e-17 - 1e-300) + 40.0 * 1e-17 + 1e6 * 1e-300) / gap
+        assert want > 5.0
+        assert mixture_risk(mu, self.DEEP) == pytest.approx(want, rel=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_measures_match_the_per_atom_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        levels = np.unique(
+            np.concatenate([rng.uniform(0.0, 1.0, rng.integers(1, 20)),
+                            rng.choice([0.0, 1.0, np.nextafter(1.0, 0.0)], rng.integers(0, 3))])
+        )
+        mu = KusuokaMeasure(levels, np.full(levels.size, 1.0 / levels.size))
+        dist = StepQuantile.from_samples(rng.uniform(-10, 10, rng.integers(1, 30)))
+        want, scale = self.per_atom(mu, dist)
+        assert abs(mixture_risk(mu, dist) - want) <= 1e-12 * scale
+
+
 class TestMeasureValidation:
     def test_levels_must_increase(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,29 @@ def values_masses(max_segments=16):
     )
 
 
+def tiny_values_masses(max_segments=16):
+    # masses spread over 300 decades, so that tail masses collapse against
+    # each other and against 1 in floating point
+    mass = st.tuples(st.floats(1.0, 9.99), st.integers(0, 300)).map(
+        lambda me: me[0] * 10.0 ** -me[1]
+    )
+    n = st.integers(1, max_segments)
+    return n.flatmap(
+        lambda k: st.tuples(
+            st.lists(st.floats(-50, 50), min_size=k, max_size=k).map(sorted),
+            st.lists(mass, min_size=k, max_size=k),
+        )
+    )
+
+
+def overlap_upper_integral(values, tails, gaps):
+    """Reference: the n_gaps x n_segments overlap of each segment's gap
+    cell (T_{k+1}, T_k] with (0, g], times the segment values."""
+    g = np.atleast_1d(np.asarray(gaps, dtype=float))
+    overlap = np.clip(np.minimum(tails[:-1], g[:, None]) - tails[1:], 0.0, None)
+    return overlap @ values
+
+
 class TestConstruction:
     def test_from_samples_sorts_and_merges(self):
         d = StepQuantile.from_samples([3.0, 1.0, 3.0, 2.0])
@@ -83,6 +106,24 @@ class TestQuantile:
         ps = np.linspace(0.0, 0.999, 37)
         qs = [d.quantile(p) for p in ps]
         assert all(a <= b for a, b in zip(qs, qs[1:]))
+
+    @given(values_masses())
+    @settings(max_examples=60, deadline=None)
+    def test_array_levels_match_scalar_levels(self, vm):
+        d = StepQuantile.from_segments(*vm)
+        ps = np.concatenate([np.linspace(0.0, 0.999, 37), np.cumsum(d.masses)[:-1]])
+        ps = ps[ps < 1.0]
+        qs = d.quantile(ps)
+        assert isinstance(qs, np.ndarray)
+        assert qs.tolist() == [d.quantile(p) for p in ps]
+        assert isinstance(d.quantile(0.5), float)
+
+    def test_array_level_domain(self):
+        d = StepQuantile.from_samples([1.0, 2.0])
+        with pytest.raises(ValueError):
+            d.quantile(np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):
+            d.quantile(np.array([np.nan]))
 
 
 class TestNorms:
@@ -154,6 +195,23 @@ class TestUpperIntegral:
         gs = np.array([0.1, 0.4, 0.9])
         vec = d.upper_integral(gs)
         assert vec == pytest.approx([d.upper_integral(g) for g in gs], abs=1e-15)
+
+    @given(tiny_values_masses(), st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_overlap_matrix(self, vm, u):
+        d = StepQuantile(*vm)
+        T = d.tail_masses
+        inner = T[1:] + u * (T[:-1] - T[1:])
+        gaps = np.concatenate([T, inner, [0.0, 1.0, 1.5, 1e300]])
+        got = d.upper_integral(gaps)
+        assert isinstance(got, np.ndarray)
+        want = overlap_upper_integral(d.values, T, gaps)
+        scale = overlap_upper_integral(np.abs(d.values), T, gaps)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        for g, value in zip(gaps, got):
+            one = d.upper_integral(float(g))
+            assert isinstance(one, float)
+            assert one == value
 
     def test_value_at_gap(self):
         d = StepQuantile.from_samples([1.0, 2.0, 3.0, 4.0])
