@@ -120,11 +120,7 @@ def _cmd_dual_norm(args) -> tuple[dict, int]:
     sigma = load_spectrum(args.spectrum)
     z = _load_dist(args.samples)
     result = dual_norm(z, sigma)
-    return {
-        "value": result.value,
-        "attaining_alpha": result.attaining_alpha,
-        "limit_unverified": result.limit_unverified,
-    }, 0
+    return {"value": result.value, "attaining_alpha": result.attaining_alpha}, 0
 
 
 def _cmd_dominate(args) -> tuple[dict, int]:
@@ -352,6 +348,9 @@ def main(argv=None) -> int:
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
+    if not args.tol >= 0:
+        print(f"error: --tol must be a nonnegative number, got {args.tol}", file=sys.stderr)
+        return 2
     try:
         payload, code = args.handler(args)
     except InputFormatError as exc:

@@ -6,30 +6,41 @@ For a payoff ``Z`` the dual gauge is the supremum over levels ``a`` of
 
 with ``S`` the spectrum's tail weight.  Writing ``g = 1 - a``, the
 numerator ``G(g)`` is the integral of ``|Z|``'s quantile over the top ``g``
-of mass.  Between the kinks of ``G`` (the segment boundaries of ``|Z|``)
-and of ``S`` (the spectrum's breakpoints) the ratio ``G/S`` is quasiconvex:
-``G`` is linear there, ``S`` is concave in ``g``, and the sign pattern of
-``(G/S)'`` has at most one change, from - to +.  The supremum over each
-piece therefore sits at its ends, so scanning kink gaps plus the ``g -> 0``
-limit evaluates the gauge exactly, with no search and no discretization
-error.
-The same piecewise concavity makes the dominance check exact.
+of mass.  The scans rest on one lemma: ``S(1 - g)`` is concave in ``g`` on
+all of ``[0, 1]`` for every valid spectrum, since sigma is nondecreasing,
+so the spectrum's own breakpoints never matter (below, ``S`` stands for
+that function of ``g``).  On each piece between the tail masses of
+``|Z|``, ``G(g) = c + b g`` with ``c, b >= 0`` (``G`` is concave with
+``G(0) = 0``), and
 
-Cost: for ``n`` segments of ``|Z|`` and ``m`` spectrum kinks, a scan
-evaluates ``G`` at its ``n + m`` gaps with one suffix sum and one
-``searchsorted`` (``StepQuantile.upper_integral``), so ``dual_norm``,
-``dominates`` and ``quantile_density_ratio_bound`` take O((n + m) log n)
-time and O(n + m) memory.
+* ``G/S`` is quasiconvex: ``(G/S)'`` has the sign of ``h = b S - G S'``,
+  and ``h' = -G S'' >= 0`` as a measure, so the supremum sits at an end;
+* the dominance margin ``phi = (eta S - G)/g`` is quasiconcave:
+  ``(phi' g^2)' = eta S'' g <= 0``, so the minimum sits at an end;
+* the quantile is constant and the density nonincreasing in ``g``, so the
+  quantile-to-density ratio peaks at the larger gap.
+
+On the top piece ``c = 0`` and ``S(g)/g`` is nonincreasing, so the
+``a -> 1`` limits (``max|Z| / sigma(1-)`` and ``eta sigma(1-) - max|Z|``)
+never beat the smallest tail mass.  Scanning the gaps ``{1}`` and the tail
+masses of ``|Z|`` therefore evaluates all three exactly, with no search and
+no discretization error.  The one condition on the code: at a gap where
+sigma jumps, ``density_from_gap`` returns the lower-gap cell's value, the
+limit from inside the piece that ends there.
+
+Cost: for ``n`` segments of ``|Z|``, a scan evaluates ``G`` at its ``n + 1``
+gaps with one suffix sum and one ``searchsorted``
+(``StepQuantile.upper_integral``), so ``dual_norm``, ``dominates`` and
+``quantile_density_ratio_bound`` take O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import Spectrum, scan_gaps, sup_with_limit
+from .spectrum import Spectrum
 from .stepdist import PairedSample, StepQuantile, _comonotone_rows
 
 #: dominance margins may undershoot zero by this much and still certify
@@ -40,14 +51,13 @@ DOMINANCE_SLACK = 1e-12
 class DualNorm:
     """Value of the dual gauge and the level attaining it.
 
-    ``attaining_alpha`` is 1.0 when only the ``a -> 1`` limit attains the
-    supremum.  ``limit_unverified`` marks values computed against a spectrum
-    with no declared density supremum, where that limit was only sampled.
+    ``attaining_alpha`` is ``1 - g`` for the first scanned gap ``g``, the gap
+    1 or a tail mass of ``|Z|``, at which the ratio peaks.  The value is exact
+    for every valid spectrum, step or not.
     """
 
     value: float
     attaining_alpha: float
-    limit_unverified: bool = False
 
 
 @dataclass(frozen=True)
@@ -65,46 +75,40 @@ class DominanceCertificate:
     margin: float
 
 
+def _piece_ends(Z: StepQuantile) -> tuple[StepQuantile, np.ndarray]:
+    """``|Z|`` and the descending gaps in (0, 1] at which the scans are exact:
+    1 and the tail masses of ``|Z|``, the ends of the pieces where G is linear."""
+    z_abs = Z.abs()
+    gaps = np.concatenate([np.ones(1), z_abs.tail_masses])
+    return z_abs, np.unique(gaps[(gaps > 0.0) & (gaps <= 1.0)])[::-1]
+
+
 def dual_norm(Z: StepQuantile, sigma: Spectrum) -> DualNorm:
     """Dual gauge of ``Z``: sup over levels of (1-a) AVaR_a(|Z|) / S(a)."""
     sigma.require_valid()
-    z_abs = Z.abs()
-    unverified = sigma.density_sup is None
-    gaps = scan_gaps([sigma], z_abs.tail_masses, dense=unverified)
-    if unverified:
-        limit = -math.inf
-    elif math.isinf(sigma.density_sup):
-        limit = 0.0
-    else:
-        limit = z_abs.max_value / sigma.density_sup
-    G = z_abs.upper_integral(gaps)
-    S = np.asarray(sigma.tail_from_gap(gaps), dtype=float)
-    value, alpha = sup_with_limit(G / S, gaps, limit)
-    return DualNorm(value, alpha, unverified)
+    z_abs, gaps = _piece_ends(Z)
+    ratio = z_abs.upper_integral(gaps) / np.asarray(sigma.tail_from_gap(gaps), dtype=float)
+    i = int(np.argmax(ratio))
+    return DualNorm(float(ratio[i]), float(1.0 - gaps[i]))
 
 
 def dominates(Z: StepQuantile, sigma: Spectrum, eta: float) -> DominanceCertificate:
     """Certify eta * S(a) >= (1-a) AVaR_a(|Z|) at every level a.
 
-    Margins are gap-normalized, (eta*S(g) - G(g))/g, so the deep-tail end
-    carries the comparison eta*sigma(1-) vs esssup|Z| instead of the trivial
-    0 vs 0.  Piecewise concavity of eta*S - G makes the kink scan exact.
+    Margins are gap-normalized, (eta*S(g) - G(g))/g, so the smallest tail
+    mass carries the comparison of eta*S(g)/g with esssup|Z| instead of the
+    trivial 0 vs 0.  The margin is quasiconcave between tail masses of |Z|,
+    so the scan over them is exact.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("dominance factor eta must be positive")
     sigma.require_valid()
-    z_abs = Z.abs()
-    gaps = scan_gaps([sigma], z_abs.tail_masses)
-    G = z_abs.upper_integral(gaps)
+    z_abs, gaps = _piece_ends(Z)
     S = np.asarray(sigma.tail_from_gap(gaps), dtype=float)
-    margins = (eta * S - G) / gaps
-    alphas = 1.0 - gaps
-    if sigma.density_sup is not None and math.isfinite(sigma.density_sup):
-        margins = np.append(margins, eta * sigma.density_sup - z_abs.max_value)
-        alphas = np.append(alphas, 1.0)
+    margins = (eta * S - z_abs.upper_integral(gaps)) / gaps
     i = int(np.argmin(margins))
     worst = float(margins[i])
-    return DominanceCertificate(worst >= -DOMINANCE_SLACK, float(alphas[i]), worst)
+    return DominanceCertificate(worst >= -DOMINANCE_SLACK, float(1.0 - gaps[i]), worst)
 
 
 def indicator_dual_norm(sigma: Spectrum, p_event: float) -> float:
@@ -150,12 +154,11 @@ def quantile_density_ratio_bound(Z: StepQuantile, sigma: Spectrum) -> float:
 
     A finite value c certifies |Z|'s quantile <= c * sigma almost everywhere,
     a stronger (not equivalent) condition than dominance of the averaged
-    tails.  The supremum over each kink-free piece sits at its larger gap,
-    where the density is smallest.
+    tails.  The supremum over each piece between tail masses of |Z| sits at
+    its larger gap, where the density is smallest.
     """
     sigma.require_valid()
-    z_abs = Z.abs()
-    gaps = scan_gaps([sigma], z_abs.tail_masses)
+    z_abs, gaps = _piece_ends(Z)
     q = z_abs.value_at_gap(gaps)
     dens = np.asarray(sigma.density_from_gap(gaps), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):

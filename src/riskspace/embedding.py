@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .risk import avar
-from .spectrum import Spectrum, scan_gaps, sup_with_limit
+from .spectrum import Spectrum, scan_gaps
 from .stepdist import StepQuantile
 
 #: AVaR sandwich inequalities may undershoot by this much and still certify
@@ -77,8 +77,11 @@ def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConst
     gaps = scan_gaps((source, target), dense=dense)
     s1 = np.asarray(source.tail_from_gap(gaps), dtype=float)
     s2 = np.asarray(target.tail_from_gap(gaps), dtype=float)
-    value, alpha = sup_with_limit(s2 / s1, gaps, limit)
-    return EmbeddingConstant(value, alpha, dense)
+    ratio = s2 / s1
+    i = int(np.argmax(ratio))
+    if limit > ratio[i]:
+        return EmbeddingConstant(limit, 1.0, dense)
+    return EmbeddingConstant(float(ratio[i]), float(1.0 - gaps[i]), dense)
 
 
 def sharpness_witness(source: Spectrum, target: Spectrum, level: float) -> float:

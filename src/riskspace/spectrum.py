@@ -426,8 +426,9 @@ class GeneralSpectrum(Spectrum):
 
     ``q_exponent`` declares integrability: sigma**q has finite integral for
     q < q_exponent and is treated as infinite at or beyond it.  The tail
-    asymptotics fields are optional; without them the alpha -> 1 limits in
-    the dual machinery fall back to a dense grid and flag the result.
+    asymptotics fields are optional.  The dual scans need none of them;
+    without them ``comparability_constant`` scans ``FALLBACK_GAPS`` and
+    flags its result ``limit_unverified``.
     """
 
     density_fn: Callable[[np.ndarray], np.ndarray]
@@ -511,29 +512,17 @@ class GeneralSpectrum(Spectrum):
 # -- exact kink scans -----------------------------------------------------------
 
 
-def scan_gaps(spectra: Sequence[Spectrum], *extra, dense: bool = False) -> np.ndarray:
+def scan_gaps(spectra: Sequence[Spectrum], *, dense: bool = False) -> np.ndarray:
     """Descending gaps in (0, 1] at which a tail-ratio scan is exact.
 
-    The union of the gap 1, each spectrum's ``kink_gaps``, the ``extra`` gap
-    arrays, and ``FALLBACK_GAPS`` when ``dense`` is set.
+    The union of the gap 1, each spectrum's ``kink_gaps``, and
+    ``FALLBACK_GAPS`` when ``dense`` is set.
     """
-    parts = [np.ones(1), *extra, *(s.kink_gaps for s in spectra if s.kink_gaps is not None)]
+    parts = [np.ones(1), *(s.kink_gaps for s in spectra if s.kink_gaps is not None)]
     if dense:
         parts.append(FALLBACK_GAPS)
     gaps = np.concatenate(parts)
     return np.unique(gaps[(gaps > 0.0) & (gaps <= 1.0)])[::-1]
-
-
-def sup_with_limit(ratio: np.ndarray, gaps: np.ndarray, limit: float) -> tuple[float, float]:
-    """Supremum of a ratio scanned at ``gaps``, with its level ``1 - g``.
-
-    The declared ``a -> 1`` limit wins, at level 1.0, when it is larger.
-    """
-    i = int(np.argmax(ratio))
-    value, alpha = float(ratio[i]), float(1.0 - gaps[i])
-    if limit > value:
-        return limit, 1.0
-    return value, alpha
 
 
 def step_approx(sigma: Spectrum, n_cells: int) -> tuple[StepSpectrum, float]:

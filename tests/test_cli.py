@@ -81,6 +81,17 @@ class TestEval:
         assert payload["method"] == "cdf-tail-integral"
         assert payload["value"] == pytest.approx(2.5, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_invalid_tol_is_a_usage_error(self, files, capsys, tol):
+        # a NaN tolerance would pass every comparison, a negative one fail it
+        code, payload, err = run(
+            capsys, "eval", "--spectrum", files / "power.json",
+            "--samples", files / "four.csv", "--method", "both", "--tol", tol,
+        )
+        assert code == 2
+        assert payload is None
+        assert "--tol" in err
+
 
 class TestNormAndDual:
     def test_norm_subcommand(self, files, capsys):
@@ -98,7 +109,7 @@ class TestNormAndDual:
         assert code == 0
         assert payload["value"] == 0.5
         assert payload["attaining_alpha"] == 0.75
-        assert payload["limit_unverified"] is False
+        assert "limit_unverified" not in payload
 
 
 class TestDominate:
@@ -119,6 +130,15 @@ class TestDominate:
         assert code == 1
         assert payload["holds"] is False
         assert "dominance fails" in err
+
+    def test_nan_eta_is_a_usage_error(self, files, capsys):
+        code, payload, err = run(
+            capsys, "dominate", "--spectrum", files / "avar05.json",
+            "--samples", files / "indicator.csv", "--eta", "nan",
+        )
+        assert code == 2
+        assert payload is None
+        assert "eta must be positive" in err
 
 
 class TestKusuoka:

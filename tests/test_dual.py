@@ -18,6 +18,7 @@ from riskspace.dual import (
 )
 from riskspace.risk import sigma_norm
 from riskspace.spectrum import (
+    FALLBACK_GAPS,
     AvarSpectrum,
     GeneralSpectrum,
     PowerSqrtSpectrum,
@@ -26,6 +27,16 @@ from riskspace.spectrum import (
 from riskspace.stepdist import PairedSample, StepQuantile
 
 FLAT = StepSpectrum([0.0, 1.0], [1.0])
+EPS = np.finfo(float).eps
+
+# the square-root spectrum through callables only: no density_sup, no tail
+# asymptotics, no kink_gaps
+SQRT_BARE = GeneralSpectrum(
+    density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
+    tail_fn=lambda a: np.sqrt(1.0 - a),
+    q_exponent=2.0,
+    gap_tail_fn=np.sqrt,
+)
 
 
 def indicator(p):
@@ -51,6 +62,78 @@ def grid_ratio_sup(Z, sigma, n=10_001):
     G = z_abs.upper_integral(gaps)
     S = np.asarray(sigma.tail_from_gap(gaps), dtype=float)
     return float(np.max(G / S))
+
+
+def t3_payoff(rng, max_segments=7):
+    n = int(rng.integers(1, max_segments + 1))
+    return StepQuantile.from_samples(rng.standard_t(3.0, n), rng.uniform(0.1, 1.0, n))
+
+
+# -- reference: the earlier scan over tail masses, spectrum kinks and limits ---
+
+
+def reference_gaps(z_abs, sigma):
+    """{1} with |Z|'s tail masses, sigma's kink gaps, and the fallback mesh
+    for a spectrum without a declared density supremum."""
+    parts = [np.ones(1), z_abs.tail_masses]
+    if sigma.kink_gaps is not None:
+        parts.append(sigma.kink_gaps)
+    if sigma.density_sup is None:
+        parts.append(FALLBACK_GAPS)
+    gaps = np.concatenate(parts)
+    return np.unique(gaps[(gaps > 0.0) & (gaps <= 1.0)])[::-1]
+
+
+def reference_dual_norm(Z, sigma):
+    """Scanned sup of G/S, beaten at level 1 by max|Z| / sigma(1-) if larger."""
+    z_abs = Z.abs()
+    gaps = reference_gaps(z_abs, sigma)
+    ratio = z_abs.upper_integral(gaps) / np.asarray(sigma.tail_from_gap(gaps), dtype=float)
+    i = int(np.argmax(ratio))
+    sup = sigma.density_sup
+    limit = -math.inf if sup is None else (0.0 if math.isinf(sup) else z_abs.max_value / sup)
+    if limit > ratio[i]:
+        return limit, 1.0
+    return float(ratio[i]), float(1.0 - gaps[i])
+
+
+def reference_margins(Z, sigma, eta):
+    """Margins (eta*S - G)/g with the size of their terms, plus the limit term
+    eta * sigma(1-) - max|Z| for a finite density supremum."""
+    z_abs = Z.abs()
+    gaps = reference_gaps(z_abs, sigma)
+    eta_s = eta * np.asarray(sigma.tail_from_gap(gaps), dtype=float)
+    G = z_abs.upper_integral(gaps)
+    margins, terms = (eta_s - G) / gaps, np.maximum(eta_s, G) / gaps
+    sup = sigma.density_sup
+    if sup is not None and math.isfinite(sup):
+        margins = np.append(margins, eta * sup - z_abs.max_value)
+        terms = np.append(terms, max(eta * sup, z_abs.max_value))
+    return margins, terms
+
+
+def reference_ratio_bound(Z, sigma):
+    z_abs = Z.abs()
+    gaps = reference_gaps(z_abs, sigma)
+    q = z_abs.value_at_gap(gaps)
+    dens = np.asarray(sigma.density_from_gap(gaps), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(q == 0.0, 0.0, q / dens)))
+
+
+@st.composite
+def spectra(draw):
+    family = draw(st.sampled_from(["avar", "power_sqrt", "step"]))
+    if family == "avar":
+        return AvarSpectrum(draw(st.floats(0.0, 0.99)))
+    if family == "power_sqrt":
+        return PowerSqrtSpectrum()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.sort(rng.uniform(0.0, 1.0, rng.integers(0, 40)))
+    edges = np.unique(np.concatenate([[0.0], cuts, [1.0]]))
+    vals = np.cumsum(rng.uniform(0.0, 2.0, edges.size - 1))
+    vals /= np.dot(vals, np.diff(edges))
+    return StepSpectrum(edges, vals)
 
 
 class TestIndicatorDual:
@@ -85,7 +168,6 @@ class TestDualNorm:
         result = dual_norm(StepQuantile.from_samples([3.0]), FLAT)
         assert result.value == 3.0
         assert result.attaining_alpha == 0.0
-        assert not result.limit_unverified
 
     def test_spectrum_quantile_is_self_dual(self):
         # Z distributed as sigma(U) saturates the gauge at exactly 1
@@ -110,18 +192,20 @@ class TestDualNorm:
         result = dual_norm(indicator(0.25), PowerSqrtSpectrum())
         assert result.value == 0.5
         assert result.attaining_alpha == 0.75
-        assert not result.limit_unverified
 
-    def test_undeclared_asymptotics_flagged(self):
-        sigma = GeneralSpectrum(
-            density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
-            tail_fn=lambda a: np.sqrt(1.0 - a),
-            q_exponent=2.0,
-            gap_tail_fn=np.sqrt,
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_general_spectrum_is_exact(self, seed):
+        # without density_sup or tail asymptotics the scan over tail masses
+        # is still exact: the callable square root matches the closed form
+        Z = t3_payoff(np.random.default_rng(seed))
+        closed = dual_norm(Z, PowerSqrtSpectrum())
+        assert dual_norm(Z, SQRT_BARE) == closed
+        for eta in (closed.value * (1.0 + 1e-9), closed.value * (1.0 - 1e-6)):
+            assert dominates(Z, SQRT_BARE, eta) == dominates(Z, PowerSqrtSpectrum(), eta)
+        assert dual_norm(indicator(0.25), SQRT_BARE) == dual_norm(
+            indicator(0.25), PowerSqrtSpectrum()
         )
-        result = dual_norm(indicator(0.25), sigma)
-        assert result.limit_unverified
-        assert result.value == pytest.approx(0.5, abs=1e-9)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 8.0))
     @settings(max_examples=40, deadline=None)
@@ -169,8 +253,9 @@ class TestDominance:
         assert cert.margin > 0
 
     def test_eta_domain(self):
-        with pytest.raises(ValueError):
-            dominates(indicator(0.5), FLAT, 0.0)
+        for eta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                dominates(indicator(0.5), FLAT, eta)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -299,3 +384,30 @@ class TestScale:
         assert peak < self.PEAK_LIMIT
         assert math.isfinite(ratio) and holds
         assert dual.value <= ratio + 1e-12
+
+
+class TestAgainstReferenceScan:
+    # the scans over {1} and |Z|'s tail masses against the earlier scan that
+    # also visited every spectrum kink and the a -> 1 limits
+
+    @given(st.integers(0, 2**32 - 1), spectra())
+    @settings(max_examples=200, deadline=None)
+    def test_tail_masses_suffice(self, seed, sigma):
+        Z = t3_payoff(np.random.default_rng(seed))
+        z_abs = Z.abs()
+        levels = 1.0 - np.concatenate([np.ones(1), z_abs.tail_masses])
+
+        result = dual_norm(Z, sigma)
+        ref_value, _ = reference_dual_norm(Z, sigma)
+        assert abs(result.value - ref_value) <= 4 * EPS * ref_value
+        assert result.attaining_alpha in levels
+
+        for eta in (ref_value * (1.0 + 1e-9), ref_value * (1.0 - 1e-6), 1.3 * ref_value):
+            cert = dominates(Z, sigma, eta)
+            margins, terms = reference_margins(Z, sigma, eta)
+            i = int(np.argmin(margins))
+            assert abs(cert.margin - margins[i]) <= 4 * EPS * terms[i]
+            assert cert.holds == (margins[i] >= -1e-12)
+            assert cert.witness_alpha in levels
+
+        assert quantile_density_ratio_bound(Z, sigma) == reference_ratio_bound(Z, sigma)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskspace.embedding import (
+    EmbeddingConstant,
     avar_sandwich_check,
     comparability_constant,
     identity_norm,
@@ -105,6 +106,33 @@ class TestPairwiseConstants:
         result = comparability_constant(sqrt_like, AvarSpectrum(0.75))
         assert result.limit_unverified
         assert result.value == pytest.approx(2.0, rel=1e-9)
+
+    def test_declared_limit_against_the_scan(self):
+        # a finite limit below the scanned sup loses: S_avar / sqrt(g) -> 0
+        assert comparability_constant(PowerSqrtSpectrum(), AvarSpectrum(0.75)) == (
+            EmbeddingConstant(2.0, 0.75, False)
+        )
+        # sigma(u) = (1 + u) / 1.5 has S(1 - g) / g = (2 - g/2) / 1.5 < 4/3 on
+        # every scanned gap, so its declared limit sigma(1-) = 4/3 wins at level 1
+        rising = GeneralSpectrum(
+            density_fn=lambda u: (1.0 + u) / 1.5,
+            tail_fn=lambda a: (2.0 * (1.0 - a) - (1.0 - a) ** 2 / 2.0) / 1.5,
+            gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
+            density_sup=4.0 / 3.0,
+            tail_order=1.0,
+            tail_coeff=4.0 / 3.0,
+        )
+        assert comparability_constant(FLAT, rising) == EmbeddingConstant(4.0 / 3.0, 1.0, True)
+        # undeclared asymptotics make the limit -inf: the scanned sup stands
+        sqrt_bare = GeneralSpectrum(
+            density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
+            tail_fn=lambda a: np.sqrt(1.0 - a),
+            q_exponent=2.0,
+            gap_tail_fn=np.sqrt,
+        )
+        assert comparability_constant(sqrt_bare, AvarSpectrum(0.75)) == (
+            EmbeddingConstant(2.0, 0.75, True)
+        )
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

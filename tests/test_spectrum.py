@@ -23,7 +23,6 @@ from riskspace.spectrum import (
     scan_gaps,
     spectrum_from_dict,
     step_approx,
-    sup_with_limit,
 )
 
 
@@ -170,21 +169,15 @@ class TestKinkScan:
         assert flat.kink_gaps is None
 
     def test_scan_gaps_union_is_descending_in_unit_interval(self):
-        s = AvarSpectrum(0.75)
-        gaps = scan_gaps([s, PowerSqrtSpectrum()], np.array([0.5, 0.25, 0.0, 1.5]))
+        # kink gaps 0 and 1 of both steps collapse into one 1; 0 is dropped
+        step = StepSpectrum([0.0, 0.5, 1.0], [0.5, 1.5])
+        gaps = scan_gaps([AvarSpectrum(0.75), PowerSqrtSpectrum(), step])
         assert gaps.tolist() == [1.0, 0.5, 0.25]
 
     def test_scan_gaps_dense_adds_the_fallback_mesh(self):
         gaps = scan_gaps([PowerSqrtSpectrum()], dense=True)
         assert np.array_equal(gaps, FALLBACK_GAPS)
         assert gaps[0] == 1.0 and gaps[-1] == pytest.approx(1e-12, rel=1e-12)
-
-    def test_sup_with_limit(self):
-        gaps = np.array([1.0, 0.5, 0.25])
-        ratio = np.array([1.0, 3.0, 2.0])
-        assert sup_with_limit(ratio, gaps, 2.5) == (3.0, 0.5)
-        assert sup_with_limit(ratio, gaps, 4.0) == (4.0, 1.0)
-        assert sup_with_limit(ratio, gaps, -math.inf) == (3.0, 0.5)
 
 
 class TestGeneralSpectrum:
