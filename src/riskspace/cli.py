@@ -36,7 +36,7 @@ from .extremal import (
 from .kusuoka import load_measure, measure_to_dict, mu_from_sigma, sigma_from_mu
 from .risk import sigma_norm, sigma_norm_via_cdf, spectral_risk, spectral_risk_via_cdf
 from .spectrum import load_spectrum
-from .stepdist import InputFormatError, StepQuantile, read_samples_csv
+from .stepdist import InputFormatError, StepQuantile
 from .verify import run_suite
 
 _METHOD_NAMES = {"quantile": "quantile-integral", "cdf": "cdf-tail-integral"}
@@ -49,7 +49,8 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+        out = obj.tolist()  # one conversion; entries need mapping only if some are not finite
+        return out if np.isfinite(obj).all() else _jsonify(out)
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -64,16 +65,6 @@ def _jsonify(obj):
     return obj
 
 
-def _emit(payload: dict, indent: int) -> None:
-    doc = json.dumps(_jsonify(payload), indent=indent if indent >= 0 else None, allow_nan=False)
-    print(doc)
-
-
-def _load_dist(path) -> StepQuantile:
-    values, weights = read_samples_csv(path)
-    return StepQuantile.from_samples(values, weights)
-
-
 def _load_spectrum_dir(path) -> list:
     files = sorted(Path(path).glob("*.json"))
     if not files:
@@ -86,7 +77,7 @@ def _load_spectrum_dir(path) -> list:
 
 def _cmd_eval(args) -> tuple[dict, int]:
     sigma = load_spectrum(args.spectrum)
-    dist = _load_dist(args.samples)
+    dist = StepQuantile.from_csv(args.samples)
     compute = sigma_norm if args.norm else spectral_risk
     compute_cdf = sigma_norm_via_cdf if args.norm else spectral_risk_via_cdf
     if args.method == "both":
@@ -112,20 +103,20 @@ def _cmd_eval(args) -> tuple[dict, int]:
 
 def _cmd_norm(args) -> tuple[dict, int]:
     sigma = load_spectrum(args.spectrum)
-    dist = _load_dist(args.samples)
+    dist = StepQuantile.from_csv(args.samples)
     return {"value": sigma_norm(sigma, dist), "method": _METHOD_NAMES["quantile"]}, 0
 
 
 def _cmd_dual_norm(args) -> tuple[dict, int]:
     sigma = load_spectrum(args.spectrum)
-    z = _load_dist(args.samples)
+    z = StepQuantile.from_csv(args.samples)
     result = dual_norm(z, sigma)
     return {"value": result.value, "attaining_alpha": result.attaining_alpha}, 0
 
 
 def _cmd_dominate(args) -> tuple[dict, int]:
     sigma = load_spectrum(args.spectrum)
-    z = _load_dist(args.samples)
+    z = StepQuantile.from_csv(args.samples)
     cert = dominates(z, sigma, args.eta)
     payload = {
         "holds": cert.holds,
@@ -207,7 +198,7 @@ def _cmd_escape(args) -> tuple[dict, int]:
 
 def _cmd_diverge(args) -> tuple[dict, int]:
     sigma = load_spectrum(args.spectrum)
-    dist = _load_dist(args.samples) if args.samples else heavy_tail_quantile(args.depth)
+    dist = StepQuantile.from_csv(args.samples) if args.samples else heavy_tail_quantile(args.depth)
     report = l1_divergence_demo(dist, sigma, target=args.target)
     payload = {
         "target": report.target,
@@ -220,7 +211,7 @@ def _cmd_diverge(args) -> tuple[dict, int]:
 
 def _cmd_approx(args) -> tuple[dict, int]:
     sigma = load_spectrum(args.spectrum)
-    dist = _load_dist(args.samples)
+    dist = StepQuantile.from_csv(args.samples)
     approx, error = step_density_approx(sigma, dist, args.epsilon)
     payload = {
         "epsilon": args.epsilon,
@@ -362,7 +353,8 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.json_indent)
+    indent = args.json_indent if args.json_indent >= 0 else None
+    print(json.dumps(_jsonify(payload), indent=indent, allow_nan=False))
     return code
 
 

@@ -87,7 +87,7 @@ def dual_norm(Z: StepQuantile, sigma: Spectrum) -> DualNorm:
     """Dual gauge of ``Z``: sup over levels of (1-a) AVaR_a(|Z|) / S(a)."""
     sigma.require_valid()
     z_abs, gaps = _piece_ends(Z)
-    ratio = z_abs.upper_integral(gaps) / np.asarray(sigma.tail_from_gap(gaps), dtype=float)
+    ratio = z_abs.upper_integral(gaps) / sigma.tail_from_gap(gaps)
     i = int(np.argmax(ratio))
     return DualNorm(float(ratio[i]), float(1.0 - gaps[i]))
 
@@ -104,8 +104,7 @@ def dominates(Z: StepQuantile, sigma: Spectrum, eta: float) -> DominanceCertific
         raise ValueError("dominance factor eta must be positive")
     sigma.require_valid()
     z_abs, gaps = _piece_ends(Z)
-    S = np.asarray(sigma.tail_from_gap(gaps), dtype=float)
-    margins = (eta * S - z_abs.upper_integral(gaps)) / gaps
+    margins = (eta * sigma.tail_from_gap(gaps) - z_abs.upper_integral(gaps)) / gaps
     i = int(np.argmin(margins))
     worst = float(margins[i])
     return DominanceCertificate(worst >= -DOMINANCE_SLACK, float(1.0 - gaps[i]), worst)
@@ -160,7 +159,7 @@ def quantile_density_ratio_bound(Z: StepQuantile, sigma: Spectrum) -> float:
     sigma.require_valid()
     z_abs, gaps = _piece_ends(Z)
     q = z_abs.value_at_gap(gaps)
-    dens = np.asarray(sigma.density_from_gap(gaps), dtype=float)
+    dens = sigma.density_from_gap(gaps)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(q == 0.0, 0.0, q / dens)
     return float(np.max(ratio))

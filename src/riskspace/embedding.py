@@ -75,9 +75,7 @@ def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConst
     else:
         limit = k2 / k1
     gaps = scan_gaps((source, target), dense=dense)
-    s1 = np.asarray(source.tail_from_gap(gaps), dtype=float)
-    s2 = np.asarray(target.tail_from_gap(gaps), dtype=float)
-    ratio = s2 / s1
+    ratio = target.tail_from_gap(gaps) / source.tail_from_gap(gaps)
     i = int(np.argmax(ratio))
     if limit > ratio[i]:
         return EmbeddingConstant(limit, 1.0, dense)

@@ -99,10 +99,7 @@ def lp_escape(sigma: Spectrum, q: float, depth: int, submesh: int = 8) -> LpEsca
     # cancellation of forward partial sums near their limit.
     n_idx = np.arange(1, depth + 1)
     tail_targets = total * special.zeta(p + 1.0, n_idx + 1.0) / zp1
-    gaps = np.empty(depth + 1)
-    gaps[0] = 1.0
-    for n, target in zip(n_idx, tail_targets):
-        gaps[n] = sigma.invert_tail_power(float(target), q)
+    gaps = np.concatenate([[1.0], sigma.invert_tail_power(tail_targets, q)])
     if np.any(np.diff(gaps) >= 0):
         raise ValueError(
             f"band boundaries collapsed at depth {depth}; the sigma**{q:g} tail "
@@ -112,7 +109,7 @@ def lp_escape(sigma: Spectrum, q: float, depth: int, submesh: int = 8) -> LpEsca
     masses = [np.array([gaps[depth]])]
     for n in n_idx:
         edges = _band_edges(sigma, gaps[n - 1], gaps[n], submesh)
-        dens = np.asarray(sigma.density_from_gap(edges[:-1]), dtype=float)
+        dens = sigma.density_from_gap(edges[:-1])
         values.append(float(n) * dens ** (q - 1.0))
         masses.append(edges[:-1] - edges[1:])
     dist = StepQuantile.from_segments(np.concatenate(values), np.concatenate(masses))
@@ -143,10 +140,7 @@ def linf_escape(sigma: Spectrum, depth: int) -> LinfEscape:
     if depth < 1:
         raise ValueError("truncation depth must be at least 1")
     sigma.require_valid()
-    gaps = np.empty(depth + 1)
-    gaps[0] = 1.0
-    for n in range(1, depth + 1):
-        gaps[n] = sigma.invert_tail(2.0**-n)
+    gaps = np.concatenate([[1.0], sigma.invert_tail(np.ldexp(1.0, -np.arange(1, depth + 1)))])
     if np.any(np.diff(gaps) >= 0):
         raise ValueError(f"band boundaries collapsed at depth {depth}")
     # ascending values 0..depth: remainder mass g_N, then band n's slab width

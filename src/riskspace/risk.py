@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _suffix_sums
 from .stepdist import PairedSample, StepQuantile, comonotone_pair
 
 
@@ -32,17 +32,12 @@ class SemideviationResult(NamedTuple):
     pnorm_bound: float
 
 
-def _segment_sigma_mass(sigma: Spectrum, dist: StepQuantile) -> np.ndarray:
-    svals = np.asarray(sigma.tail_from_gap(dist.tail_masses), dtype=float)
-    return svals[:-1] - svals[1:]
-
-
 def spectral_risk(sigma: Spectrum, dist: StepQuantile) -> float:
     """Quantile-integral form: integral of sigma(u) * quantile(u) du."""
     sigma.require_valid()
-    weights = _segment_sigma_mass(sigma, dist)
+    svals = sigma.tail_from_gap(dist.tail_masses)
     with np.errstate(over="ignore"):
-        return float(np.dot(dist.values, weights))
+        return float(np.dot(dist.values, svals[:-1] - svals[1:]))
 
 
 def spectral_risk_via_cdf(sigma: Spectrum, dist: StepQuantile) -> float:
@@ -53,7 +48,7 @@ def spectral_risk_via_cdf(sigma: Spectrum, dist: StepQuantile) -> float:
     """
     sigma.require_valid()
     v = dist.values
-    svals = np.asarray(sigma.tail_from_gap(dist.tail_masses[:-1]), dtype=float)
+    svals = sigma.tail_from_gap(dist.tail_masses[:-1])
     return float(v[0] * svals[0] + np.dot(np.diff(v), svals[1:]))
 
 
@@ -87,11 +82,8 @@ def coupling_value(sigma: Spectrum, dist: StepQuantile, order: np.ndarray) -> fl
     """
     sigma.require_valid()
     order = np.asarray(order)
-    vals = dist.values[order]
-    masses = dist.masses[order]
-    tails = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
-    svals = np.asarray(sigma.tail_from_gap(tails), dtype=float)
-    return float(np.dot(vals, svals[:-1] - svals[1:]))
+    svals = sigma.tail_from_gap(_suffix_sums(dist.masses[order]))
+    return float(np.dot(dist.values[order], svals[:-1] - svals[1:]))
 
 
 def representation_sup_check(

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectrum import Spectrum, _power_mean, scan_gaps
+from .spectrum import Spectrum, _GapSteps, _power_mean, _scalar_or_array, _suffix_sums, scan_gaps
 
 
 class InputFormatError(ValueError):
@@ -61,7 +61,7 @@ class StepQuantile:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "masses", mass)
         # suffix sums: tail_masses[k] is the mass strictly above segment k-1
-        tails = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
+        tails = _suffix_sums(mass)
         tails.setflags(write=False)
         object.__setattr__(self, "tail_masses", tails)
 
@@ -149,11 +149,6 @@ class StepQuantile:
         cum.setflags(write=False)
         return cum
 
-    def _segment_at_gap(self, g: np.ndarray) -> np.ndarray:
-        """Index of the segment owning each gap: segment k owns (T_{k+1}, T_k]."""
-        idx = np.searchsorted(-self.tail_masses, -g, side="right") - 1
-        return np.clip(idx, 0, self.values.size - 1)
-
     def quantile(self, p):
         """Right-continuous quantile inf{y : P(Y <= y) > p}: the value whose
         cumulative interval [P(Y < y), P(Y <= y)) contains p.
@@ -167,6 +162,7 @@ class StepQuantile:
         out = self.values[np.minimum(idx, self.values.size - 1)]
         return float(out) if ps.ndim == 0 else out
 
+    @_scalar_or_array
     def upper_integral(self, gaps):
         """Integral of the quantile over the top ``g`` of mass, per gap.
 
@@ -174,30 +170,21 @@ class StepQuantile:
         ``C[k] = sum_{j >= k} v_j (T_j - T_{j+1})``, a gap in segment k's
         cell ``(T_{k+1}, T_k]`` has ``G(g) = C[k+1] + v_k (g - T_{k+1})``.
         The sums are accumulated from the top, so gaps far below one ulp
-        of 1 keep their relative accuracy.  One ``searchsorted`` places the
-        gaps: O((n + m) log n) time and O(n + m) memory for n segments and
-        m gaps.
+        of 1 keep their relative accuracy.  Gaps are clipped to
+        ``[0, T_0]``.  One ``searchsorted`` places them: O((n + m) log n)
+        time and O(n + m) memory for n segments and m gaps.
         """
-        g = np.atleast_1d(np.asarray(gaps, dtype=float))
-        scalar = np.ndim(gaps) == 0
-        T = self.tail_masses
-        g = np.clip(g, 0.0, T[0])
-        cells = self.values * (T[:-1] - T[1:])
-        suffix = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-        k = self._segment_at_gap(g)
-        out = suffix[k + 1] + self.values[k] * (g - T[k + 1])
-        return float(out[0]) if scalar else out
+        g = np.clip(gaps, 0.0, self.tail_masses[0])
+        return _GapSteps(self.tail_masses, self.values).integral(g)
 
+    @_scalar_or_array
     def value_at_gap(self, gaps):
         """Quantile value carried at tail-mass position ``g`` from the top.
 
         Segment k owns gaps (T_{k+1}, T_k]; the gap coordinate keeps lookups
         meaningful where cumulative breakpoints collapse against 1.
         """
-        g = np.atleast_1d(np.asarray(gaps, dtype=float))
-        scalar = np.ndim(gaps) == 0
-        out = self.values[self._segment_at_gap(g)]
-        return float(out[0]) if scalar else out
+        return _GapSteps(self.tail_masses, self.values).at(gaps)
 
     # -- transforms --------------------------------------------------------
 
@@ -266,17 +253,15 @@ def _comonotone_rows(
     Returns (value, z, width, upper gap) rows where z is the average density
     over the piece, making sum(w * value * z) the exact quantile integral.
     """
-    tails = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
-    seg_gaps = tails  # descending, one boundary per segment edge
+    tails = _suffix_sums(masses)  # descending, one boundary per segment edge
     extra = scan_gaps([sigma])
-    extra = extra[extra < seg_gaps[0]]
-    grid = np.unique(np.concatenate([seg_gaps, extra]))[::-1]  # descending gaps
+    extra = extra[extra < tails[0]]
+    grid = np.unique(np.concatenate([tails, extra]))[::-1]  # descending gaps
     widths = grid[:-1] - grid[1:]
     # piece i spans gaps (grid[i+1], grid[i]]; segment k owns gaps
     # (tails[k+1], tails[k]], so match on the piece's upper gap
-    seg_idx = np.searchsorted(-seg_gaps, -grid[:-1], side="right") - 1
-    seg_idx = np.clip(seg_idx, 0, values.size - 1)
-    svals = np.asarray(sigma.tail_from_gap(grid), dtype=float)
+    seg_idx = _GapSteps(tails, values).cell(grid[:-1])
+    svals = sigma.tail_from_gap(grid)
     sig_mass = svals[:-1] - svals[1:]
     keep = widths > 0
     widths, sig_mass, seg_idx = widths[keep], sig_mass[keep], seg_idx[keep]

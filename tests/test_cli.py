@@ -10,10 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import riskspace
-from riskspace.cli import main
+from riskspace.cli import _jsonify, main
 
 
 @pytest.fixture()
@@ -382,3 +383,18 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["value"] == 3.5
+
+
+def test_jsonify_maps_only_nonfinite_array_entries():
+    payload = {
+        "x": np.array([1.5, np.inf, -np.inf, np.nan, -0.0]),
+        "n": np.array([1, 2]),
+        "m": np.zeros((2, 1)),
+        "s": np.float64(-np.inf),
+    }
+    assert _jsonify(payload) == {
+        "x": [1.5, "inf", "-inf", "nan", -0.0],
+        "n": [1, 2],
+        "m": [[0.0], [0.0]],
+        "s": "-inf",
+    }

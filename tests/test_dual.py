@@ -33,7 +33,6 @@ EPS = np.finfo(float).eps
 # asymptotics, no kink_gaps
 SQRT_BARE = GeneralSpectrum(
     density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
-    tail_fn=lambda a: np.sqrt(1.0 - a),
     q_exponent=2.0,
     gap_tail_fn=np.sqrt,
 )
@@ -164,6 +163,16 @@ class TestIndicatorDual:
 
 
 class TestDualNorm:
+    def test_general_gap_form_is_exact_for_tiny_indicators(self):
+        # sigma(u) = (1 + u) / 1.5: the gauge p / S(1 - p) tends to 3/4; a
+        # level-form tail read at 1 - p gave 0.74977 at p = 1e-13
+        rising = GeneralSpectrum(
+            density_fn=lambda u: (1.0 + u) / 1.5,
+            gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
+        )
+        result = dual_norm(indicator(1e-13), rising)
+        assert abs(result.value - 0.75) <= 1e-12
+
     def test_constant_under_flat_spectrum(self):
         result = dual_norm(StepQuantile.from_samples([3.0]), FLAT)
         assert result.value == 3.0

@@ -96,7 +96,6 @@ class TestPairwiseConstants:
     def test_general_spectra_get_flagged(self):
         sqrt_like = GeneralSpectrum(
             density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
-            tail_fn=lambda a: np.sqrt(1.0 - a),
             q_exponent=2.0,
             gap_tail_fn=np.sqrt,
             density_sup=math.inf,
@@ -107,6 +106,18 @@ class TestPairwiseConstants:
         assert result.limit_unverified
         assert result.value == pytest.approx(2.0, rel=1e-9)
 
+    def test_general_gap_form_stays_below_the_true_sup(self):
+        # S(1 - g) / g = (2 - g/2) / 1.5 rises to 4/3 as g -> 0; the fallback
+        # mesh reaches g = 1e-12, where a level-form tail read at 1 - g gave
+        # 1.333395355618737, above the supremum
+        rising = GeneralSpectrum(
+            density_fn=lambda u: (1.0 + u) / 1.5,
+            gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
+        )
+        result = comparability_constant(FLAT, rising)
+        assert 4.0 / 3.0 * (1.0 - 1e-12) <= result.value <= 4.0 / 3.0
+        assert result.limit_unverified
+
     def test_declared_limit_against_the_scan(self):
         # a finite limit below the scanned sup loses: S_avar / sqrt(g) -> 0
         assert comparability_constant(PowerSqrtSpectrum(), AvarSpectrum(0.75)) == (
@@ -116,7 +127,6 @@ class TestPairwiseConstants:
         # every scanned gap, so its declared limit sigma(1-) = 4/3 wins at level 1
         rising = GeneralSpectrum(
             density_fn=lambda u: (1.0 + u) / 1.5,
-            tail_fn=lambda a: (2.0 * (1.0 - a) - (1.0 - a) ** 2 / 2.0) / 1.5,
             gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
             density_sup=4.0 / 3.0,
             tail_order=1.0,
@@ -126,7 +136,6 @@ class TestPairwiseConstants:
         # undeclared asymptotics make the limit -inf: the scanned sup stands
         sqrt_bare = GeneralSpectrum(
             density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
-            tail_fn=lambda a: np.sqrt(1.0 - a),
             q_exponent=2.0,
             gap_tail_fn=np.sqrt,
         )

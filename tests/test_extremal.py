@@ -17,7 +17,7 @@ from riskspace.extremal import (
     step_density_approx,
 )
 from riskspace.risk import sigma_norm, spectral_risk
-from riskspace.spectrum import AvarSpectrum, PowerSqrtSpectrum, StepSpectrum
+from riskspace.spectrum import AvarSpectrum, GeneralSpectrum, PowerSqrtSpectrum, StepSpectrum
 from riskspace.stepdist import StepQuantile
 
 FLAT = StepSpectrum([0.0, 1.0], [1.0])
@@ -127,6 +127,38 @@ class TestLinfEscape:
     def test_depth_domain(self):
         with pytest.raises(ValueError):
             linf_escape(FLAT, 0)
+
+
+class TestGeneralSpectrumEscapes:
+    # bounded spectra given by callables: the bands come from bisection
+    FLAT_GENERAL = GeneralSpectrum(density_fn=np.ones_like, gap_tail_fn=lambda g: g)
+    RISING = GeneralSpectrum(
+        density_fn=lambda u: (1.0 + u) / 1.5,
+        gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
+    )
+
+    def test_lp_escape_matches_the_flat_step(self):
+        general = lp_escape(self.FLAT_GENERAL, 1.5, 4)
+        exact = lp_escape(FLAT, 1.5, 4)
+        assert general.dist.values.tolist() == exact.dist.values.tolist()
+        np.testing.assert_allclose(general.dist.masses, exact.dist.masses, rtol=1e-9)
+        assert general.predicted_risk == pytest.approx(exact.predicted_risk, rel=1e-12)
+        assert general.lp_partial == pytest.approx(exact.lp_partial, rel=1e-12)
+
+    def test_linf_escape_matches_the_flat_step(self):
+        general = linf_escape(self.FLAT_GENERAL, 10)
+        exact = linf_escape(FLAT, 10)
+        np.testing.assert_allclose(general.dist.masses, exact.dist.masses, rtol=1e-9)
+        assert general.risk == pytest.approx(exact.risk, rel=1e-9)
+
+    def test_rising_spectrum_escapes(self):
+        q = 1.5
+        esc = lp_escape(self.RISING, q, 3, submesh=2)
+        assert spectral_risk(self.RISING, esc.dist) <= esc.predicted_risk + 1e-9
+        assert esc.predicted_risk <= lp_escape_limit(self.RISING, q)
+        bounded = linf_escape(self.RISING, 8)
+        assert bounded.dist.max_value == 8.0
+        assert bounded.risk <= linf_risk_bound(8) + 1e-12
 
 
 class TestHeavyTail:

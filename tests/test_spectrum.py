@@ -104,6 +104,21 @@ class TestPowerSqrt:
         g = s.invert_tail_power(target, 1.5)
         assert s.tail_power_integral(g, 1.5) == pytest.approx(target, rel=1e-12)
 
+    def test_inversion_rejects_targets_beyond_the_total(self):
+        # the totals are S(0) = 1 and the integral of sigma**1.5, 2**-1.5 / 0.25
+        s = PowerSqrtSpectrum()
+        for bad in (2.0, 1.0 + 1e-15, -1e-300, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                s.invert_tail(bad)
+        with pytest.raises(ValueError, match="outside"):
+            s.invert_tail_power(5.0, 1.5)
+        with pytest.raises(ValueError, match="outside"):
+            s.invert_tail(np.array([0.25, 2.0]))
+        assert s.invert_tail(1.0) == 1.0
+        assert s.invert_tail(0.0) == 0.0
+        total = s.tail_power_integral(1.0, 1.5)
+        assert s.invert_tail_power(total, 1.5) == pytest.approx(1.0, rel=1e-15)
+
 
 class TestStepSpectrum:
     def test_density_cells(self):
@@ -160,12 +175,157 @@ class TestStepSpectrum:
         assert s.tail((a + b) / 2.0) >= chord - 1e-12
 
 
+class _AscendingGapReference:
+    """The gap arithmetic of ``StepSpectrum`` on ascending nodes, as it was
+    before the shared descending-node kernel; the reference for bit equality."""
+
+    def __init__(self, s: StepSpectrum):
+        nodes = (1.0 - s.breakpoints)[::-1].copy()
+        nodes[0] = 0.0
+        self.nodes = nodes
+        self.density = s.values[::-1].copy()
+        self.tail = np.concatenate([[0.0], np.cumsum(self.density * np.diff(nodes))])
+
+    def cell(self, g):
+        # cell i covers gaps (nodes[i], nodes[i+1]]; g = 0 maps to the top cell
+        i = np.searchsorted(self.nodes, g, side="left") - 1
+        return np.clip(i, 0, self.density.size - 1)
+
+    def density_from_gap(self, g):
+        return self.density[self.cell(g)]
+
+    def tail_from_gap(self, g):
+        i = self.cell(g)
+        return self.tail[i] + self.density[i] * (g - self.nodes[i])
+
+    def power_nodes(self, q):
+        with np.errstate(over="ignore"):
+            dq = self.density**q
+        return dq, np.concatenate([[0.0], np.cumsum(dq * np.diff(self.nodes))])
+
+    def tail_power_integral(self, g, q):
+        dq, tails = self.power_nodes(q)
+        i = self.cell(g)
+        return tails[i] + dq[i] * (g - self.nodes[i])
+
+    def invert_tail_power(self, target, q):
+        dq, tails = self.power_nodes(q)
+        assert 0.0 <= target <= tails[-1]
+        i = int(np.searchsorted(tails, target, side="right") - 1)
+        if i >= dq.size:
+            return 1.0
+        if dq[i] == 0.0:
+            return float(self.nodes[i])
+        return float(self.nodes[i] + (target - tails[i]) / dq[i])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def reference_case(rng):
+    """A step spectrum with zero-density first cells and breakpoints down to
+    1e-15 below 1, and gaps at 0, 1, 1e-300, every node and inside cells,
+    and above 1 (a law's top tail mass can be 1 + 1 ulp; nothing clips)."""
+    cuts = rng.uniform(0.0, 1.0, rng.integers(0, 40))
+    deep = 1.0 - np.geomspace(1e-3, 1e-15, rng.integers(0, 5))
+    edges = np.unique(np.concatenate([[0.0], cuts, deep, [1.0]]))
+    vals = np.cumsum(rng.uniform(0.0, 2.0, edges.size - 1))
+    vals[: rng.integers(0, edges.size - 1)] = 0.0
+    vals[-1] += 0.5
+    s = StepSpectrum(edges, vals / np.dot(vals, np.diff(edges)))
+    nodes = s.kink_gaps
+    inside = nodes[:-1] + rng.uniform(0.0, 1.0, nodes.size - 1) * np.diff(nodes)
+    gaps = np.concatenate([[0.0, 1.0, 1e-300, np.nextafter(1.0, 2.0), 1.25], nodes, inside])
+    return s, gaps
+
+
+class TestGapKernel:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1.5, 2.0, 3.7]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_the_ascending_reference(self, seed, q):
+        rng = np.random.default_rng(seed)
+        s, gaps = reference_case(rng)
+        ref = _AscendingGapReference(s)
+        assert _bits(s.tail_from_gap(gaps)) == _bits(ref.tail_from_gap(gaps))
+        assert _bits(s.density_from_gap(gaps)) == _bits(ref.density_from_gap(gaps))
+        assert _bits(s.tail_power_integral(gaps, q)) == _bits(ref.tail_power_integral(gaps, q))
+        for g in gaps:
+            assert _bits(s.tail_from_gap(g)) == _bits(ref.tail_from_gap(np.array([g])))
+        # the integral at every node, flat runs of zero cells included
+        sums = ref.power_nodes(q)[1]
+        targets = np.concatenate([sums, rng.uniform(0.0, 1.0, 5) * sums[-1]])
+        expected = [ref.invert_tail_power(float(t), q) for t in targets]
+        assert _bits(s.invert_tail_power(targets, q)) == _bits(expected)
+        assert [s.invert_tail_power(float(t), q) for t in targets] == expected
+
+    def test_kink_gaps_is_the_reversed_node_view(self):
+        s = StepSpectrum([0.0, 0.25, 0.5, 1.0], [0.5, 1.0, 1.25])
+        assert s.kink_gaps.tolist() == (1.0 - s.breakpoints)[::-1].tolist()
+        assert not s.kink_gaps.flags.writeable
+
+    def test_zero_density_run_inverts_to_its_far_end(self):
+        # every gap in [0.6, 1] carries the whole integral; the largest wins
+        s = StepSpectrum([0.0, 0.2, 0.4, 1.0], [0.0, 0.0, 1.0 / 0.6])
+        total = s.tail_power_integral(1.0, 2.0)
+        assert s.tail_power_integral(0.6, 2.0) == total
+        assert s.invert_tail_power(total, 2.0) == 1.0
+        assert s.invert_tail(1.0) == 1.0
+        assert s.invert_tail(0.0) == 0.0
+
+
+def _general_rising():
+    # sigma(u) = (1 + u) / 1.5, bounded, in gap form
+    return GeneralSpectrum(
+        density_fn=lambda u: (1.0 + np.asarray(u)) / 1.5,
+        gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
+    )
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            random_step(np.random.default_rng(11), max_cells=12),
+            AvarSpectrum(0.0),
+            AvarSpectrum(0.8),
+            PowerSqrtSpectrum(),
+            _general_rising(),
+        ],
+        ids=["step", "avar0", "avar08", "power_sqrt", "general"],
+    )
+    def test_array_inverses_equal_scalar_calls(self, sigma):
+        fractions = np.array([0.0, 1e-30, 0.125, 0.5, 0.9, 1.0])
+        targets = fractions * float(sigma.tail_power_integral(1.0, 1.5))
+        inv = sigma.invert_tail_power(targets, 1.5)
+        assert isinstance(inv, np.ndarray) and inv.dtype == np.float64
+        assert _bits(inv) == _bits([sigma.invert_tail_power(float(t), 1.5) for t in targets])
+        tails = sigma.invert_tail(fractions)
+        assert isinstance(tails, np.ndarray) and tails.dtype == np.float64
+        assert _bits(tails) == _bits([sigma.invert_tail(float(f)) for f in fractions])
+        assert isinstance(sigma.invert_tail(0.5), float)
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [AvarSpectrum(0.5), PowerSqrtSpectrum(), _general_rising()],
+        ids=["avar", "power_sqrt", "general"],
+    )
+    def test_gap_methods_return_float_or_float64_array(self, sigma):
+        gaps = np.array([1e-9, 0.25, 1.0])
+        for method in (sigma.density_from_gap, sigma.tail_from_gap):
+            assert isinstance(method(0.25), float)
+            out = method(gaps)
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert isinstance(sigma.tail_power_integral(0.25, 1.5), float)
+        assert sigma.tail_power_integral(gaps, 1.5).dtype == np.float64
+
+
 class TestKinkScan:
     def test_kink_gaps_per_family(self):
         s = StepSpectrum([0.0, 0.25, 0.5, 1.0], [0.5, 1.0, 1.25])
         assert s.kink_gaps.tolist() == [0.0, 0.5, 0.75, 1.0]
         assert PowerSqrtSpectrum().kink_gaps.size == 0
-        flat = GeneralSpectrum(density_fn=np.ones_like, tail_fn=lambda a: 1.0 - a)
+        flat = GeneralSpectrum(density_fn=np.ones_like, gap_tail_fn=lambda g: g)
         assert flat.kink_gaps is None
 
     def test_scan_gaps_union_is_descending_in_unit_interval(self):
@@ -185,7 +345,6 @@ class TestGeneralSpectrum:
         # sigma(u) = (1/2)(1-u)^(-1/2) expressed through callables only
         return GeneralSpectrum(
             density_fn=lambda u: 0.5 / np.sqrt(1.0 - np.asarray(u)),
-            tail_fn=lambda a: np.sqrt(1.0 - np.asarray(a)),
             gap_tail_fn=np.sqrt,
             q_exponent=2.0,
         )
@@ -200,6 +359,13 @@ class TestGeneralSpectrum:
         gen = self._power()
         g = gen.invert_tail(0.125)
         assert gen.tail_from_gap(g) == pytest.approx(0.125, abs=1e-10)
+
+    def test_inversion_rejects_targets_beyond_the_total(self):
+        gen = self._power()
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                gen.invert_tail(bad)
+        assert gen.invert_tail(1.0) == 1.0
 
     def test_declared_exponent_gates_lq(self):
         gen = self._power()
@@ -243,7 +409,7 @@ class TestFileForm:
     def test_general_has_no_file_form(self):
         gen = GeneralSpectrum(
             density_fn=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            tail_fn=lambda a: 1.0 - np.asarray(a, dtype=float),
+            gap_tail_fn=lambda g: np.asarray(g, dtype=float),
         )
         with pytest.raises(NotImplementedError):
             gen.to_dict()
