@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .risk import sigma_norm, spectral_risk
 from .spectrum import Spectrum
@@ -82,6 +81,8 @@ def lp_escape(sigma: Spectrum, q: float, depth: int, submesh: int = 8) -> LpEsca
     ``||sigma||_q**q zeta(p)/zeta(p+1)`` from below); ``lp_partial`` is the
     exact p-th power of the p-norm, a harmonic partial sum.
     """
+    from scipy import special
+
     if not 1.0 < q < math.inf:
         raise ValueError("escape construction needs an exponent q in (1, inf)")
     if depth < 1:
@@ -122,6 +123,8 @@ def lp_escape(sigma: Spectrum, q: float, depth: int, submesh: int = 8) -> LpEsca
 
 def lp_escape_limit(sigma: Spectrum, q: float) -> float:
     """Risk ceiling of the escape bands: ||sigma||_q**q zeta(p)/zeta(p+1)."""
+    from scipy import special
+
     if not 1.0 < q < math.inf:
         raise ValueError("escape construction needs an exponent q in (1, inf)")
     total = float(sigma.tail_power_integral(1.0, q))
@@ -183,7 +186,7 @@ def l1_divergence_demo(
     maximum, and if the target is still unmet the demo is vacuous (the
     truncations converged; nothing diverges).
     """
-    if target <= 0:
+    if not target > 0:
         raise ValueError("divergence target must be positive")
     sigma.require_valid()
     mag = dist.abs()
@@ -228,7 +231,7 @@ def step_density_approx(
     The construction therefore returns the input and certifies a residual of
     exactly zero; the certificate is still computed, not assumed.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("approximation tolerance must be positive")
     sigma.require_valid()
     residual = StepQuantile(np.zeros(1), np.ones(1))  # Y - s(U) vanishes pointwise

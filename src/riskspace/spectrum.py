@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 log = logging.getLogger(__name__)
 
@@ -448,8 +447,9 @@ class PowerSqrtSpectrum(Spectrum):
         _check_targets(target, float(self.tail_power_integral(1.0, q)))
         expo = 1.0 - q / 2.0
         # Python's pow per element: numpy's vectorised power may differ from
-        # it in the last bit, depending on the array's length
-        out = [(t * expo * 2.0**q) ** (1.0 / expo) for t in target.ravel().tolist()]
+        # it in the last bit, depending on the array's length; the total can
+        # round to a gap just above 1, so cap at the domain's end
+        out = [min((t * expo * 2.0**q) ** (1.0 / expo), 1.0) for t in target.ravel().tolist()]
         return np.reshape(out, target.shape)
 
     @_scalar_or_array
@@ -500,6 +500,8 @@ class GeneralSpectrum(Spectrum):
             if self.density_sup is not None:
                 return float(self.density_sup)
             return float(np.max(self.density(1.0 - FALLBACK_GAPS)))
+        from scipy import integrate
+
         power, _ = integrate.quad(
             lambda u: float(self.density(u)) ** q, 0.0, 1.0, epsrel=1e-9, limit=200
         )
@@ -513,6 +515,7 @@ class GeneralSpectrum(Spectrum):
             return self.tail_from_gap(g)
         if q >= self.q_exponent:
             return np.where(g > 0, math.inf, 0.0)
+        from scipy import integrate
 
         def power(gg):
             return float(self.density_from_gap(gg)) ** q

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import dual as dualmod
 from . import embedding, extremal, kusuoka, sampling
@@ -447,6 +446,8 @@ def _escape_monotone(rng) -> float:
 
 @_invariant("escape-lp-partial-grows", "the partial p-power grows from N to 2N by at least K/(2 zeta(p+1))")
 def _escape_partial(rng) -> float:
+    from scipy import special
+
     sig = sampling.random_step_spectrum(rng)
     q = rng.uniform(1.2, 3.0)
     n = int(rng.integers(1, 12))
@@ -460,6 +461,8 @@ def _escape_partial(rng) -> float:
 
 @_invariant("escape-root-residual", "band cut points satisfy their tail-power targets within 1e-10")
 def _escape_roots(rng) -> float:
+    from scipy import special
+
     sig = sampling.random_step_spectrum(rng)
     q = rng.uniform(1.2, 3.0)
     n = int(rng.integers(1, 10))

@@ -261,6 +261,14 @@ class TestDiverge:
         assert payload["vacuous"] is True
         assert payload["exceeded_at"] is None
 
+    def test_nan_target_is_a_usage_error(self, files, capsys):
+        code, payload, err = run(
+            capsys, "diverge", "--spectrum", files / "flat.json", "--target", "nan"
+        )
+        assert code == 2
+        assert payload is None
+        assert "target must be positive" in err
+
 
 class TestApprox:
     def test_certified_error_under_budget(self, files, capsys):
@@ -271,6 +279,15 @@ class TestApprox:
         assert code == 0
         assert payload["error"] < payload["epsilon"]
         assert payload["steps"] == 4
+
+    def test_nan_epsilon_is_a_usage_error(self, files, capsys):
+        code, payload, err = run(
+            capsys, "approx", "--spectrum", files / "avar05.json",
+            "--samples", files / "four.csv", "--epsilon", "nan",
+        )
+        assert code == 2
+        assert payload is None
+        assert "tolerance must be positive" in err
 
 
 class TestVerify:

@@ -224,8 +224,10 @@ class TestDivergenceDemo:
             l1_divergence_demo(heavy_tail_quantile(8), FLAT, 2.0, levels=[-1.0, 4.0])
 
     def test_target_domain(self):
-        with pytest.raises(ValueError):
-            l1_divergence_demo(heavy_tail_quantile(8), FLAT, 0.0)
+        # no L1 norm exceeds NaN, so a NaN target would read as vacuous
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                l1_divergence_demo(heavy_tail_quantile(8), FLAT, bad)
 
 
 class TestStepApprox:
@@ -243,5 +245,6 @@ class TestStepApprox:
         assert err == 0.0
 
     def test_tolerance_domain(self):
-        with pytest.raises(ValueError):
-            step_density_approx(FLAT, StepQuantile.from_samples([1.0]), 0.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                step_density_approx(FLAT, StepQuantile.from_samples([1.0]), bad)

@@ -119,6 +119,13 @@ class TestPowerSqrt:
         total = s.tail_power_integral(1.0, 1.5)
         assert s.invert_tail_power(total, 1.5) == pytest.approx(1.0, rel=1e-15)
 
+    def test_inverting_the_total_stays_in_the_domain(self):
+        # (t * expo * 2**q)**(1/expo) rounds above 1 at some q on this grid
+        s = PowerSqrtSpectrum()
+        for q in np.linspace(1.01, 1.99, 99):
+            g = s.invert_tail_power(s.tail_power_integral(1.0, q), q)
+            assert 0.0 <= g <= 1.0
+
 
 class TestStepSpectrum:
     def test_density_cells(self):
