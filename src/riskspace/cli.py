@@ -5,7 +5,8 @@ for humans (warnings, error causes) goes to stderr.  Exit codes: 0 on
 success, 1 when a checked property fails to hold (dominance violations,
 verify-suite failures, cross-method disagreement beyond --tol), 2 on usage
 or input errors, including malformed files, which are reported with a line
-number whenever one is known.
+number whenever one is known, and 141 (128 + SIGPIPE) when stdout is closed
+before the document is written, as by ``riskspace ... | head -1``.
 
 Non-finite numbers have no JSON literal, so they are emitted as the strings
 "inf", "-inf" and "nan".
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +40,9 @@ from .risk import sigma_norm, sigma_norm_via_cdf, spectral_risk, spectral_risk_v
 from .spectrum import load_spectrum
 from .stepdist import InputFormatError, StepQuantile
 from .verify import run_suite
+
+#: exit code when the reader of stdout closes it early, as a shell reports SIGPIPE
+EXIT_BROKEN_PIPE = 128 + 13
 
 _METHOD_NAMES = {"quantile": "quantile-integral", "cdf": "cdf-tail-integral"}
 
@@ -354,7 +359,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     indent = args.json_indent if args.json_indent >= 0 else None
-    print(json.dumps(_jsonify(payload), indent=indent, allow_nan=False))
+    document = json.dumps(_jsonify(payload), indent=indent, allow_nan=False)
+    try:
+        print(document)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; send the unwritten rest, and the final flush
+        # at exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import Spectrum
-from .stepdist import PairedSample, StepQuantile, _comonotone_rows
+from .stepdist import PairedSample, StepQuantile, _comonotone_rows, _run_starts
 
 #: dominance margins may undershoot zero by this much and still certify
 DOMINANCE_SLACK = 1e-12
@@ -79,8 +79,11 @@ def _piece_ends(Z: StepQuantile) -> tuple[StepQuantile, np.ndarray]:
     """``|Z|`` and the descending gaps in (0, 1] at which the scans are exact:
     1 and the tail masses of ``|Z|``, the ends of the pieces where G is linear."""
     z_abs = Z.abs()
-    gaps = np.concatenate([np.ones(1), z_abs.tail_masses])
-    return z_abs, np.unique(gaps[(gaps > 0.0) & (gaps <= 1.0)])[::-1]
+    tails = z_abs.tail_masses
+    # tail masses are nonincreasing, so dropping equal neighbours dedupes them
+    gaps = np.concatenate([np.ones(1), tails[(tails > 0.0) & (tails <= 1.0)]])
+    fresh = _run_starts(gaps)
+    return z_abs, gaps if fresh is None else gaps[fresh]
 
 
 def dual_norm(Z: StepQuantile, sigma: Spectrum) -> DualNorm:

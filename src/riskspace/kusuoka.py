@@ -37,8 +37,9 @@ class KusuokaMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        lv = np.asarray(self.levels, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        # copies: the measure freezes what it keeps, never its caller's arrays
+        lv = np.array(self.levels, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if lv.ndim != 1 or w.ndim != 1 or lv.size != w.size or lv.size == 0:
             raise ValueError("levels and weights must be equal-length, nonempty 1-d arrays")
         if np.any((lv < 0) | (lv > 1)):
@@ -51,8 +52,7 @@ class KusuokaMeasure:
         if abs(total - 1.0) > WEIGHT_SUM_ATOL:
             raise ValueError(f"weights sum to {total:.12g}, not 1 within {WEIGHT_SUM_ATOL:g}")
         if total != 1.0:
-            w = w / total
-        lv = lv.copy() if lv is self.levels else lv
+            w /= total
         lv.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "levels", lv)

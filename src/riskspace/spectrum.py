@@ -83,7 +83,9 @@ def _scalar_or_array(method):
     @functools.wraps(method)
     def wrapper(self, x, *args, **kwargs):
         arr = np.asarray(x, dtype=float)
-        out = np.asarray(method(self, np.atleast_1d(arr), *args, **kwargs), dtype=float)
+        out = method(self, np.atleast_1d(arr), *args, **kwargs)
+        if type(out) is not np.ndarray or out.dtype != np.float64:
+            out = np.asarray(out, dtype=float)
         return float(out[0]) if arr.ndim == 0 else out
 
     return wrapper
@@ -102,7 +104,10 @@ def _power_mean(values: np.ndarray, weights: np.ndarray, p: float) -> float:
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
     """``out[k] = sum(x[k:])`` with a final 0, accumulated from the end."""
-    return np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]])
+    out = np.empty(x.size + 1)
+    out[-1] = 0.0
+    np.cumsum(x[::-1], out=out[-2::-1])
+    return out
 
 
 def _check_targets(targets: np.ndarray, total: float) -> None:
@@ -129,14 +134,17 @@ class _GapSteps:
         n = self.values.size
         k = np.searchsorted(self.nodes[::-1], g, side="left")
         np.subtract(n, k, out=k)
-        return np.clip(k, 0, n - 1, out=k)
+        np.maximum(k, 0, out=k)
+        return np.minimum(k, n - 1, out=k)
 
     def at(self, g: np.ndarray) -> np.ndarray:
         return self.values[self.cell(g)]
 
     @functools.cached_property
     def _unit_sums(self) -> np.ndarray:
-        return _suffix_sums(self.values * (self.nodes[:-1] - self.nodes[1:]))
+        cells = self.nodes[:-1] - self.nodes[1:]
+        cells *= self.values
+        return _suffix_sums(cells)
 
     def _powered(self, q: float) -> tuple[np.ndarray, np.ndarray]:
         """``values**q`` and the integrals of it from gap 0 up to each node."""
@@ -284,21 +292,23 @@ class StepSpectrum(Spectrum):
     is_step = True
 
     def __init__(self, breakpoints, values):
-        bp = np.asarray(breakpoints, dtype=float)
-        vals = np.asarray(values, dtype=float)
+        # copies: the spectrum freezes what it keeps, never its caller's arrays
+        bp = np.array(breakpoints, dtype=float)
+        vals = np.array(values, dtype=float)
         if bp.ndim != 1 or vals.ndim != 1 or bp.size != vals.size + 1 or vals.size == 0:
             raise ValueError("need n+1 breakpoints for n values, n >= 1")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if np.any(np.diff(bp) <= 0):
+        widths = np.diff(bp)
+        if (widths <= 0).any():
             raise ValueError("breakpoints must be strictly increasing")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("step values must be finite")
         factor = 1.0
-        integral = float(np.dot(vals, np.diff(bp)))
+        integral = float(np.dot(vals, widths))
         if integral > 0 and abs(integral - 1.0) <= NORMALIZATION_ATOL and integral != 1.0:
             factor = 1.0 / integral
-            vals = vals * factor
+            vals *= factor
             log.debug("rescaled step spectrum by %.17g", factor)
         bp.setflags(write=False)
         vals.setflags(write=False)

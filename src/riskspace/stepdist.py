@@ -40,22 +40,22 @@ class StepQuantile:
     masses: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        mass = np.asarray(self.masses, dtype=float)
+        # copies: the object freezes what it keeps, never its caller's arrays
+        self._own(np.array(self.values, dtype=float), np.array(self.masses, dtype=float))
+
+    def _own(self, vals: np.ndarray, mass: np.ndarray) -> None:
+        """Validate, normalise in place and freeze arrays this object owns."""
         if vals.ndim != 1 or mass.ndim != 1 or vals.size != mass.size or vals.size == 0:
             raise ValueError("values and masses must be equal-length, nonempty 1-d arrays")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("quantile values must be finite")
-        if np.any(mass <= 0) or not np.all(np.isfinite(mass)):
+        if not ((mass > 0) & (mass < np.inf)).all():
             raise ValueError("segment masses must be strictly positive and finite")
-        if np.any(np.diff(vals) < 0):
+        if (vals[1:] < vals[:-1]).any():
             raise ValueError("quantile values must be nondecreasing")
         total = float(mass.sum())
-        if total <= 0:
-            raise ValueError("total mass must be positive")
         if total != 1.0:
-            mass = mass / total
-        vals = vals.copy() if vals is self.values else vals
+            mass /= total
         vals.setflags(write=False)
         mass.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -91,20 +91,35 @@ class StepQuantile:
         """Canonicalize raw (value, mass) segments: sort, merge ties, drop zeros."""
         vals = np.asarray(values, dtype=float)
         mass = np.asarray(masses, dtype=float)
-        if np.any(mass < 0):
-            raise ValueError("segment masses must be nonnegative")
+        if vals.ndim != 1 or vals.shape != mass.shape:
+            raise ValueError("values and masses must be equal-length 1-d arrays")
         keep = mass > 0
-        vals, mass = vals[keep], mass[keep]
+        if not keep.all():
+            if (mass < 0).any():
+                raise ValueError("segment masses must be nonnegative")
+            vals, mass = vals[keep], mass[keep]
+        del keep
         if vals.size == 0:
             raise ValueError("no segments with positive mass")
         order = np.argsort(vals, kind="stable")
         vals, mass = vals[order], mass[order]
-        # merge exact ties so breakpoints stay strictly increasing
-        fresh = np.concatenate([[True], np.diff(vals) != 0])
-        idx = np.cumsum(fresh) - 1
-        merged = np.zeros(int(idx[-1]) + 1)
-        np.add.at(merged, idx, mass)
-        return cls(vals[fresh], merged)
+        del order
+        # merge exact ties so breakpoints stay strictly increasing; bincount
+        # sums each run in order, as adding into zeros would
+        fresh = _run_starts(vals)
+        if fresh is not None:
+            # each entry's run index, accumulated in place: a cumsum of the
+            # bools would allocate a cast copy as well
+            run = fresh.astype(np.intp)
+            np.cumsum(run, out=run)
+            run -= 1
+            mass = np.bincount(run, weights=mass)
+            del run
+            vals = vals[fresh]
+        # both arrays are new here, so the object may keep them uncopied
+        dist = object.__new__(cls)
+        dist._own(vals, mass)
+        return dist
 
     @classmethod
     def from_csv(cls, path) -> "StepQuantile":
@@ -149,6 +164,11 @@ class StepQuantile:
         cum.setflags(write=False)
         return cum
 
+    @cached_property
+    def _steps(self) -> _GapSteps:
+        """The quantile as a step function of the gap, built on first use."""
+        return _GapSteps(self.tail_masses, self.values)
+
     def quantile(self, p):
         """Right-continuous quantile inf{y : P(Y <= y) > p}: the value whose
         cumulative interval [P(Y < y), P(Y <= y)) contains p.
@@ -174,8 +194,8 @@ class StepQuantile:
         ``[0, T_0]``.  One ``searchsorted`` places them: O((n + m) log n)
         time and O(n + m) memory for n segments and m gaps.
         """
-        g = np.clip(gaps, 0.0, self.tail_masses[0])
-        return _GapSteps(self.tail_masses, self.values).integral(g)
+        g = np.maximum(gaps, 0.0)
+        return self._steps.integral(np.minimum(g, self.tail_masses[0], out=g))
 
     @_scalar_or_array
     def value_at_gap(self, gaps):
@@ -184,7 +204,7 @@ class StepQuantile:
         Segment k owns gaps (T_{k+1}, T_k]; the gap coordinate keeps lookups
         meaningful where cumulative breakpoints collapse against 1.
         """
-        return _GapSteps(self.tail_masses, self.values).at(gaps)
+        return self._steps.at(gaps)
 
     # -- transforms --------------------------------------------------------
 
@@ -222,9 +242,10 @@ class PairedSample:
     w: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        z = np.asarray(self.z, dtype=float)
-        w = np.asarray(self.w, dtype=float)
+        # copies: the sample freezes what it keeps, never its caller's arrays
+        y = np.array(self.y, dtype=float)
+        z = np.array(self.z, dtype=float)
+        w = np.array(self.w, dtype=float)
         if not (y.ndim == z.ndim == w.ndim == 1 and y.size == z.size == w.size and y.size > 0):
             raise ValueError("paired sample needs equal-length nonempty y, z, w")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
@@ -243,6 +264,15 @@ class PairedSample:
 
     def z_marginal(self) -> StepQuantile:
         return StepQuantile.from_segments(self.z, self.w)
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray | None:
+    """Mask of the entries of a sorted array that differ from their left
+    neighbour (the first always does); None when every entry does."""
+    fresh = np.empty(x.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(x[1:], x[:-1], out=fresh[1:])
+    return None if fresh.all() else fresh
 
 
 def _comonotone_rows(

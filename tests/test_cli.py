@@ -402,6 +402,30 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["value"] == 3.5
 
 
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # `riskspace approx ... | head -c 100`: the document is far larger than
+    # a pipe's buffer, so the writer meets the closed pipe
+    (tmp_path / "s.json").write_text(json.dumps({"kind": "avar", "alpha": 0.5}))
+    rows = np.random.default_rng(0).standard_normal(20_000)
+    (tmp_path / "d.csv").write_text("".join(f"{x!r}\n" for x in rows.tolist()))
+    package_root = str(Path(riskspace.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "riskspace", "approx", "--spectrum", str(tmp_path / "s.json"),
+         "--samples", str(tmp_path / "d.csv"), "--epsilon", "0.01"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert head.startswith(b"{")
+    assert stderr == b""
+
+
 def test_jsonify_maps_only_nonfinite_array_entries():
     payload = {
         "x": np.array([1.5, np.inf, -np.inf, np.nan, -0.0]),

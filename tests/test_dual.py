@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskspace.dual import (
+    _piece_ends,
     dominates,
     dual_norm,
     hahn_banach_witness,
@@ -420,3 +421,23 @@ class TestAgainstReferenceScan:
             assert cert.witness_alpha in levels
 
         assert quantile_density_ratio_bound(Z, sigma) == reference_ratio_bound(Z, sigma)
+
+
+class TestPieceEnds:
+    # the neighbour dedupe of the nonincreasing tail masses against the sort
+    # it replaced; tiny masses make equal neighbours, and tails above 1
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_unique(self, seed, tiny):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        masses = rng.uniform(0.1, 1.0, n)
+        if tiny:
+            masses *= 10.0 ** -rng.integers(0, 300, n).astype(float)
+        Z = StepQuantile.from_segments(np.round(rng.standard_t(3.0, n), 1), masses)
+        z_abs, gaps = _piece_ends(Z)
+        tails = np.concatenate([np.ones(1), z_abs.tail_masses])
+        expected = np.unique(tails[(tails > 0.0) & (tails <= 1.0)])[::-1]
+        assert gaps.tobytes() == expected.tobytes()
+

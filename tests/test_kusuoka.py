@@ -176,6 +176,13 @@ class TestMeasureValidation:
         with pytest.raises(ValueError):
             KusuokaMeasure(np.array([0.0, 0.5]), np.array([1.0, 0.0]))
 
+    def test_caller_arrays_stay_writeable(self):
+        levels, weights = np.array([0.0, 0.5]), np.array([0.5, 0.5])
+        mu = KusuokaMeasure(levels, weights)
+        assert levels.flags.writeable and weights.flags.writeable
+        levels[1], weights[1] = 0.9, 0.1
+        assert mu.atoms() == [(0.0, 0.5), (0.5, 0.5)]
+
     def test_levels_bounded(self):
         with pytest.raises(ValueError):
             KusuokaMeasure(np.array([1.2]), np.array([1.0]))

@@ -139,6 +139,17 @@ class TestStepSpectrum:
         assert s.values[0] == 1.0
         assert s.rescale_factor != 1.0
 
+    def test_caller_arrays_stay_writeable(self):
+        # the constructor copies; values of unit mass are not rescaled, so
+        # without the copy both would be frozen in place
+        bp, vals = np.array([0.0, 0.5, 1.0]), np.array([0.5, 1.5])
+        s = StepSpectrum(bp, vals)
+        assert bp.flags.writeable and vals.flags.writeable
+        bp[1], vals[1] = 0.75, 9.0
+        assert s.breakpoints.tolist() == [0.0, 0.5, 1.0]
+        assert s.values.tolist() == [0.5, 1.5]
+        assert s.tail(0.5) == 0.75
+
     def test_lq_norm_exact(self):
         s = StepSpectrum([0.0, 0.5, 1.0], [0.5, 1.5])
         assert s.lq_norm(2.0) == pytest.approx(math.sqrt(0.125 + 1.125), abs=1e-15)

@@ -1,11 +1,14 @@
 """Step quantile arithmetic: construction, evaluation, norms, couplings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskspace.spectrum import AvarSpectrum
+from riskspace.risk import sigma_norm
+from riskspace.spectrum import AvarSpectrum, PowerSqrtSpectrum
 from riskspace.stepdist import (
     InputFormatError,
     PairedSample,
@@ -48,6 +51,150 @@ def overlap_upper_integral(values, tails, gaps):
     return overlap @ values
 
 
+# -- reference: the earlier canonicalisation, kept to pin its bits -------------
+
+
+def reference_canonical(values, masses):
+    """The earlier ``StepQuantile.__post_init__`` on valid input: values,
+    masses rescaled to unit total, and their suffix sums."""
+    vals = np.asarray(values, dtype=float)
+    mass = np.asarray(masses, dtype=float)
+    total = float(mass.sum())
+    if total != 1.0:
+        mass = mass / total
+    tails = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
+    return vals, mass, tails
+
+
+def reference_from_segments(values, masses):
+    """The earlier ``from_segments``: drop zeros, stable sort, merge ties by
+    adding each run into zeros."""
+    vals = np.asarray(values, dtype=float)
+    mass = np.asarray(masses, dtype=float)
+    keep = mass > 0
+    vals, mass = vals[keep], mass[keep]
+    order = np.argsort(vals, kind="stable")
+    vals, mass = vals[order], mass[order]
+    fresh = np.concatenate([[True], np.diff(vals) != 0])
+    idx = np.cumsum(fresh) - 1
+    merged = np.zeros(int(idx[-1]) + 1)
+    np.add.at(merged, idx, mass)
+    return reference_canonical(vals[fresh], merged)
+
+
+def reference_abs(dist):
+    return reference_from_segments(np.abs(dist.values), dist.masses)
+
+
+def same_bits(dist, ref):
+    return all(
+        a.dtype == np.float64 and a.tobytes() == b.tobytes()
+        for a, b in zip((dist.values, dist.masses, dist.tail_masses), ref)
+    )
+
+
+@st.composite
+def raw_segments(draw):
+    """Unsorted segments with exact ties (runs of 8 or more among them),
+    +-x pairs, signed zeros and zero masses; the masses are dyadic and sum
+    to exactly 1, or arbitrary, or spread over 300 decades."""
+    n = draw(st.integers(1, 40))
+    pool = draw(st.lists(st.floats(-50, 50) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=5))
+    values = draw(st.lists(st.sampled_from(pool + [-x for x in pool]), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["exact", "float", "tiny"]))
+    if kind == "exact":
+        # units of 2**-7 topped up to 128 by one more segment: a sum of 1
+        units = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        values.append(draw(st.sampled_from(values)))
+        units.append(128 - sum(units))
+        masses = [u / 128 for u in units]
+    elif kind == "float":
+        masses = draw(st.lists(st.floats(0.01, 5.0) | st.just(0.0), min_size=n, max_size=n))
+    else:
+        tiny = st.tuples(st.floats(1.0, 9.99), st.integers(0, 300)).map(lambda me: me[0] * 10.0**-me[1])
+        masses = draw(st.lists(tiny | st.just(0.0), min_size=n, max_size=n))
+    if not any(m > 0 for m in masses):
+        masses[0] = 1.0
+    return values, masses
+
+
+class TestCanonicalBits:
+    # the lean canonicalisation against the earlier one, byte for byte
+
+    @given(raw_segments())
+    @settings(max_examples=300, deadline=None)
+    @example(([2.0] * 9 + [-2.0, 1.0], [0.1] * 9 + [0.3, 0.0]))
+    @example(([-0.0, 0.0, 0.0, -0.0], [0.25, 0.25, 0.25, 0.25]))
+    @example(([3.0], [0.7]))
+    def test_from_segments_and_abs(self, vm):
+        values, masses = vm
+        dist = StepQuantile.from_segments(values, masses)
+        assert same_bits(dist, reference_from_segments(values, masses))
+        assert same_bits(dist.abs(), reference_abs(dist))
+
+    @given(raw_segments())
+    @settings(max_examples=100, deadline=None)
+    def test_direct_construction(self, vm):
+        values, masses = vm
+        pos = [(v, m) for v, m in zip(values, masses) if m > 0]
+        vals = sorted(v for v, _ in pos)
+        mass = [m for _, m in pos]
+        assert same_bits(StepQuantile(vals, mass), reference_canonical(vals, mass))
+
+
+class TestCallerArrays:
+    # constructors copy their inputs, so they never freeze the caller's arrays
+
+    def test_step_quantile(self):
+        values, masses = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+        d = StepQuantile(values, masses)
+        assert values.flags.writeable and masses.flags.writeable
+        values[0], masses[0] = 7.0, 0.9
+        assert d.values.tolist() == [1.0, 2.0]
+        assert d.masses.tolist() == [0.5, 0.5]
+
+    def test_paired_sample(self):
+        y, z, w = np.array([2.0, 1.0]), np.array([0.0, 5.0]), np.array([0.5, 0.5])
+        s = PairedSample(y, z, w)
+        assert y.flags.writeable and z.flags.writeable and w.flags.writeable
+        y[0], z[0], w[0] = 9.0, 9.0, 0.9
+        assert (s.y.tolist(), s.z.tolist(), s.w.tolist()) == ([2.0, 1.0], [0.0, 5.0], [0.5, 0.5])
+
+
+class TestAllocationPeak:
+    # canonicalisation holds the sorted values and masses, the tail masses
+    # and the sort order or run index, not about ten throwaway arrays
+    N = 200_000
+
+    @pytest.fixture(params=["distinct", "tied"])
+    def sample(self, request):
+        rng = np.random.default_rng(3)
+        x = rng.standard_t(2.5, self.N) * 10.0
+        return x if request.param == "distinct" else np.round(x, 1)
+
+    def peak_in_arrays(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * self.N)
+
+    def test_from_samples(self, sample):
+        assert self.peak_in_arrays(lambda: StepQuantile.from_samples(sample)) <= 5.0
+
+    def test_abs(self, sample):
+        d = StepQuantile.from_samples(sample)
+        assert self.peak_in_arrays(d.abs) <= 5.0
+
+    def test_sigma_norm(self, sample):
+        d = StepQuantile.from_samples(sample)
+        sigma = PowerSqrtSpectrum()
+        sigma.require_valid()
+        assert self.peak_in_arrays(lambda: sigma_norm(sigma, d)) <= 6.0
+
+
 class TestConstruction:
     def test_from_samples_sorts_and_merges(self):
         d = StepQuantile.from_samples([3.0, 1.0, 3.0, 2.0])
@@ -77,6 +224,12 @@ class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             StepQuantile.from_samples([])
+
+    @pytest.mark.parametrize("masses", [[0.5, 0.25, 0.25], [1.0]])
+    def test_from_segments_rejects_mismatched_lengths(self, masses):
+        # with every mass positive no boolean gather checks the lengths
+        with pytest.raises(ValueError, match="equal-length"):
+            StepQuantile.from_segments([1.0, 2.0], masses)
 
 
 class TestQuantile:
