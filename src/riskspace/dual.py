@@ -26,7 +26,9 @@ never beat the smallest tail mass.  Scanning the gaps ``{1}`` and the tail
 masses of ``|Z|`` therefore evaluates all three exactly, with no search and
 no discretization error.  The one condition on the code: at a gap where
 sigma jumps, ``density_from_gap`` returns the lower-gap cell's value, the
-limit from inside the piece that ends there.
+limit from inside the piece that ends there.  Corollary: a step target's
+tail weight is ``G`` of ``sigma_target(U)``, so ``comparability_constant``
+is this gauge and is exact from the target's own gap nodes.
 
 Cost: for ``n`` segments of ``|Z|``, a scan evaluates ``G`` at its ``n + 1``
 gaps with one suffix sum and one ``searchsorted``
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import Spectrum
+from .spectrum import Spectrum, StepSpectrum
 from .stepdist import PairedSample, StepQuantile, _comonotone_rows, _run_starts
 
 #: dominance margins may undershoot zero by this much and still certify
@@ -139,7 +141,7 @@ def hahn_banach_witness(sigma: Spectrum, dist: StepQuantile) -> PairedSample:
     perhaps one ulp wide.  Unbounded spectra have no attaining dual element.
     """
     sigma.require_valid()
-    if not sigma.is_step:
+    if not isinstance(sigma, StepSpectrum):
         raise TypeError(
             "attaining dual elements exist for step spectra only; "
             "apply step_approx first"

@@ -1,12 +1,16 @@
 """Comparability of spectral norms and identity-map bounds between them.
 
-Two spectra are compared through their tail weights: the best constant in
-``||Y||_target <= c ||Y||_source`` is ``sup S_target / S_source`` over the
-levels, and the sup is attained (or approached) on event indicators.  The
-ratio is scanned exactly at the union of kink gaps whenever both
-spectra declare ``kink_gaps``; the remaining ``a -> 1`` behaviour is an
-order comparison of the declared tail asymptotics: a slower tail decay in
-the target forces the constant to infinity.
+The best constant in ``||Y||_target <= c ||Y||_source`` is
+``c = sup S_target / S_source`` over the levels, approached on event
+indicators.  ``S_target(1 - g)`` is the top-``g`` integral of
+``sigma_target(U)``, so ``c`` is that variable's dual gauge under the
+source, and the lemma of the ``dual`` module applies: a step target's
+``S_target`` is linear between its gap nodes with a nonnegative intercept,
+the source's is concave, so the ratio peaks at a node, whatever the source.
+Another target is scanned on ``FALLBACK_GAPS``; its ``a -> 1`` limit is
+``sigma_target(1-) / sigma_source(1-)`` by l'Hopital, read from the two
+``density_sup`` and undetermined when either is undeclared or both are
+infinite.  Such a result is exact only when that limit is infinite.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .risk import avar
-from .spectrum import Spectrum, scan_gaps
+from .spectrum import FALLBACK_GAPS, Spectrum, StepSpectrum
 from .stepdist import StepQuantile
 
 #: AVaR sandwich inequalities may undershoot by this much and still certify
@@ -29,10 +33,11 @@ class EmbeddingConstant:
     """Best constant of one spectral norm against another.
 
     ``attaining_alpha`` locates the supremum of the tail-weight ratio, with
-    1.0 standing for the ``a -> 1`` limit.  ``limit_unverified`` marks
-    constants that relied on grid sampling: general spectra carry no
-    breakpoint structure for the exact scan, and without declared tail
-    asymptotics the limit itself is unverifiable.
+    1.0 standing for the ``a -> 1`` limit.  ``limit_unverified`` marks a
+    mesh lower bound: the target is not a step spectrum and the
+    l'Hopital limit ``sigma_target(1-) / sigma_source(1-)`` is finite or
+    undetermined.  Against a step target, an infinite limit, or the source
+    itself, the constant is exact.
     """
 
     value: float
@@ -53,33 +58,29 @@ class SandwichReport:
 def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConstant:
     """Smallest c with ||Y||_target <= c ||Y||_source, as sup of tail ratios.
 
-    Exact for step and square-root spectra: between breakpoint gaps the
-    ratio is a Moebius function of the gap (or quasiconvex against the
-    square-root tail), so it peaks at the scanned ends, and the one shape
-    with interior peaks is exactly the one whose limit is already infinite.
+    Exact for a step target (scanned at its positive gap nodes only), for an
+    infinite l'Hopital limit, and for ``c(sigma, sigma) = 1``; otherwise a
+    mesh lower bound flagged ``limit_unverified``.
     """
     source.require_valid()
     target.require_valid()
-    o1, k1 = source.tail_order, source.tail_coeff
-    o2, k2 = target.tail_order, target.tail_coeff
-    dense = source.kink_gaps is None or target.kink_gaps is None
-    if None in (o1, k1, o2, k2):
-        dense = True
-        limit = -math.inf
-    elif o2 < o1:
-        limit = math.inf
-    elif o2 > o1:
-        limit = 0.0
-    elif k1 == 0.0:
-        limit = math.inf if k2 > 0 else 0.0
+    if source == target:
+        return EmbeddingConstant(1.0, 0.0)
+    limit, unverified = -math.inf, False
+    if isinstance(target, StepSpectrum):
+        gaps = target.kink_gaps[:0:-1]
     else:
-        limit = k2 / k1
-    gaps = scan_gaps((source, target), dense=dense)
+        gaps = FALLBACK_GAPS
+        sups = (source.density_sup, target.density_sup)
+        # undetermined when undeclared or infinite over infinite
+        if None not in sups and not math.isinf(min(sups)):
+            limit = sups[1] / sups[0]
+        unverified = limit < math.inf
     ratio = target.tail_from_gap(gaps) / source.tail_from_gap(gaps)
     i = int(np.argmax(ratio))
     if limit > ratio[i]:
-        return EmbeddingConstant(limit, 1.0, dense)
-    return EmbeddingConstant(float(ratio[i]), float(1.0 - gaps[i]), dense)
+        return EmbeddingConstant(limit, 1.0, unverified)
+    return EmbeddingConstant(float(ratio[i]), float(1.0 - gaps[i]), unverified)
 
 
 def sharpness_witness(source: Spectrum, target: Spectrum, level: float) -> float:

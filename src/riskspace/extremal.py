@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .risk import sigma_norm, spectral_risk
-from .spectrum import Spectrum
+from .spectrum import Spectrum, StepSpectrum
 from .stepdist import StepQuantile
 
 
@@ -64,7 +64,7 @@ class DivergenceReport:
 
 def _band_edges(sigma: Spectrum, g_hi: float, g_lo: float, submesh: int) -> np.ndarray:
     """Descending gap edges refining one band (g_lo, g_hi]."""
-    if sigma.is_step:
+    if isinstance(sigma, StepSpectrum):
         nodes = sigma.kink_gaps
         inner = nodes[(nodes > g_lo) & (nodes < g_hi)][::-1]
         return np.concatenate([[g_hi], inner, [g_lo]])

@@ -77,11 +77,10 @@ def mu_from_sigma(sigma: Spectrum) -> KusuokaMeasure:
     d at breakpoint s becomes an atom of weight (1 - s) * d.
     """
     sigma.require_valid()
-    if not sigma.is_step:
+    if not isinstance(sigma, StepSpectrum):
         raise TypeError(
             "mixing measures are exact for step spectra only; apply step_approx first"
         )
-    assert isinstance(sigma, StepSpectrum)
     levels: list[float] = []
     weights: list[float] = []
     if sigma.values[0] > 0:

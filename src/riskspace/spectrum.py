@@ -184,7 +184,8 @@ class Spectrum:
 
     Subclasses provide ``density``, ``tail_from_gap`` and the power-integral
     helpers; the generic mesh-based ``validate`` covers callables for which
-    no exact check exists.
+    no exact check exists.  Code that needs a step's exact structure tests
+    ``isinstance(sigma, StepSpectrum)``.
 
     Array contract: ``density``, ``tail`` and every gap method
     (``density_from_gap``, ``tail_from_gap``, ``tail_power_integral``,
@@ -195,12 +196,6 @@ class Spectrum:
 
     #: result of ``validate``, computed on first use
     _violations: tuple[Violation, ...] | None = None
-
-    #: True for spectra with an exact step representation
-    is_step: bool = False
-    #: gaps g at which S(1 - g) may kink; between them the exact scans need
-    #: only the ends of each piece.  None means no exact structure is known.
-    kink_gaps: np.ndarray | None = None
 
     # -- evaluation ------------------------------------------------------
 
@@ -225,13 +220,8 @@ class Spectrum:
     def lq_norm(self, q: float) -> float:
         raise NotImplementedError
 
-    # -- tail asymptotics (for the alpha -> 1 limits) ---------------------
-
-    #: sigma(1-), the essential sup of the density; may be math.inf or None
+    #: sigma(1-), the essential sup of the density; math.inf, or None if undeclared
     density_sup: float | None = None
-    #: S(1 - g) ~ tail_coeff * g**tail_order as g -> 0; None when undeclared
-    tail_order: float | None = None
-    tail_coeff: float | None = None
 
     # -- power integrals for the extremal constructions -------------------
 
@@ -284,12 +274,12 @@ class StepSpectrum(Spectrum):
     at 1, strictly increasing.  Inputs whose integral is within 1e-10 of 1
     are rescaled to unit mass and the factor recorded in ``rescale_factor``;
     anything further off is left untouched for ``validate`` to flag.
+    The read-only ``kink_gaps`` lists the gaps ``1 - breakpoints`` in
+    ascending order, the nodes of ``S(1 - g)``.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
-
-    is_step = True
 
     def __init__(self, breakpoints, values):
         # copies: the spectrum freezes what it keeps, never its caller's arrays
@@ -350,18 +340,8 @@ class StepSpectrum(Spectrum):
             return float(np.max(self.values))
         return _power_mean(self.values, np.diff(self.breakpoints), q)
 
-    # -- tail asymptotics --------------------------------------------------
-
     @property
     def density_sup(self) -> float:  # type: ignore[override]
-        return float(self.values[-1])
-
-    @property
-    def tail_order(self) -> float:  # type: ignore[override]
-        return 1.0
-
-    @property
-    def tail_coeff(self) -> float:  # type: ignore[override]
         return float(self.values[-1])
 
     # -- power integrals ---------------------------------------------------
@@ -408,19 +388,15 @@ class AvarSpectrum(StepSpectrum):
         return {"kind": "avar", "alpha": float(self.level)}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PowerSqrtSpectrum(Spectrum):
     """sigma(u) = 1 / (2 sqrt(1-u)); unbounded, tail weight sqrt(1-a).
 
     Integrable to the power q exactly when q < 2, with
-    ||sigma||_q = (1/2) * (2/(2-q))**(1/q).
+    ||sigma||_q = (1/2) * (2/(2-q))**(1/q).  All instances compare equal.
     """
 
     density_sup = math.inf
-    tail_order = 0.5
-    tail_coeff = 1.0
-    # sqrt(g) has no kinks; the scans are exact against its concave tail
-    kink_gaps = np.empty(0)
 
     @_scalar_or_array
     def density(self, u):
@@ -479,18 +455,15 @@ class GeneralSpectrum(Spectrum):
     ``Spectrum.tail`` derives the level form.  (A level-form callable read
     at ``1 - g`` would lose all but a few digits at small gaps.)
     ``q_exponent`` declares integrability: sigma**q has finite integral for
-    q < q_exponent and is treated as infinite at or beyond it.  The tail
-    asymptotics fields are optional.  The dual scans need none of them;
-    without them ``comparability_constant`` scans ``FALLBACK_GAPS`` and
-    flags its result ``limit_unverified``.
+    q < q_exponent and is treated as infinite at or beyond it.  The
+    optional ``density_sup`` gives ``comparability_constant`` its ``a -> 1``
+    limit against a general target; the dual scans need none of it.
     """
 
     density_fn: Callable[[np.ndarray], np.ndarray]
     gap_tail_fn: Callable[[np.ndarray], np.ndarray]
     q_exponent: float = math.inf
     density_sup: float | None = None
-    tail_order: float | None = None
-    tail_coeff: float | None = None
     name: str = "general"
 
     @_scalar_or_array
@@ -560,20 +533,7 @@ class GeneralSpectrum(Spectrum):
         return f"GeneralSpectrum(name={self.name!r}, q_exponent={self.q_exponent!r})"
 
 
-# -- exact kink scans -----------------------------------------------------------
-
-
-def scan_gaps(spectra: Sequence[Spectrum], *, dense: bool = False) -> np.ndarray:
-    """Descending gaps in (0, 1] at which a tail-ratio scan is exact.
-
-    The union of the gap 1, each spectrum's ``kink_gaps``, and
-    ``FALLBACK_GAPS`` when ``dense`` is set.
-    """
-    parts = [np.ones(1), *(s.kink_gaps for s in spectra if s.kink_gaps is not None)]
-    if dense:
-        parts.append(FALLBACK_GAPS)
-    gaps = np.concatenate(parts)
-    return np.unique(gaps[(gaps > 0.0) & (gaps <= 1.0)])[::-1]
+# -- step approximation ---------------------------------------------------------
 
 
 def step_approx(sigma: Spectrum, n_cells: int) -> tuple[StepSpectrum, float]:
@@ -586,8 +546,8 @@ def step_approx(sigma: Spectrum, n_cells: int) -> tuple[StepSpectrum, float]:
     if n_cells < 1:
         raise ValueError("need at least one mesh cell")
     sigma.require_valid()
-    if sigma.is_step:
-        return sigma, 1.0  # type: ignore[return-value]
+    if isinstance(sigma, StepSpectrum):
+        return sigma, 1.0
     if n_cells > 50:
         raise ValueError("dyadic mesh breakpoints collide beyond 50 cells")
     edges = np.concatenate([[0.0], 1.0 - 0.5 ** np.arange(1, n_cells), [1.0]])

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectrum import Spectrum, _GapSteps, _power_mean, _scalar_or_array, _suffix_sums, scan_gaps
+from .spectrum import Spectrum, StepSpectrum, _GapSteps, _power_mean, _scalar_or_array, _suffix_sums
 
 
 class InputFormatError(ValueError):
@@ -53,7 +53,11 @@ class StepQuantile:
             raise ValueError("segment masses must be strictly positive and finite")
         if (vals[1:] < vals[:-1]).any():
             raise ValueError("quantile values must be nondecreasing")
-        total = float(mass.sum())
+        with np.errstate(over="ignore"):
+            total = float(mass.sum())
+        if math.isinf(total):  # finite masses, overflowing sum: largest to 1 first
+            mass /= mass.max()
+            total = float(mass.sum())
         if total != 1.0:
             mass /= total
         vals.setflags(write=False)
@@ -95,7 +99,7 @@ class StepQuantile:
             raise ValueError("values and masses must be equal-length 1-d arrays")
         keep = mass > 0
         if not keep.all():
-            if (mass < 0).any():
+            if not (mass >= 0).all():
                 raise ValueError("segment masses must be nonnegative")
             vals, mass = vals[keep], mass[keep]
         del keep
@@ -280,13 +284,13 @@ def _comonotone_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refine an explicit segment arrangement against sigma's gap cells.
 
+    The pieces are the segments, split at a step spectrum's gap nodes.
     Returns (value, z, width, upper gap) rows where z is the average density
     over the piece, making sum(w * value * z) the exact quantile integral.
     """
     tails = _suffix_sums(masses)  # descending, one boundary per segment edge
-    extra = scan_gaps([sigma])
-    extra = extra[extra < tails[0]]
-    grid = np.unique(np.concatenate([tails, extra]))[::-1]  # descending gaps
+    nodes = sigma.kink_gaps if isinstance(sigma, StepSpectrum) else np.empty(0)
+    grid = np.unique(np.concatenate([tails, nodes[nodes < tails[0]]]))[::-1]  # descending gaps
     widths = grid[:-1] - grid[1:]
     # piece i spans gaps (grid[i+1], grid[i]]; segment k owns gaps
     # (tails[k+1], tails[k]], so match on the piece's upper gap

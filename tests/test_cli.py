@@ -73,6 +73,15 @@ class TestEval:
             payload["cdf-tail-integral"], abs=1e-9
         )
 
+    def test_weights_whose_total_overflows(self, files, tmp_path, capsys):
+        (tmp_path / "huge.csv").write_text("1,1e308\n2,1e308\n")
+        (tmp_path / "mean.json").write_text(json.dumps({"kind": "avar", "alpha": 0.0}))
+        code, payload, _ = run(
+            capsys, "eval", "--spectrum", tmp_path / "mean.json", "--samples", tmp_path / "huge.csv"
+        )
+        assert code == 0
+        assert payload["value"] == 1.5
+
     def test_cdf_method_alone(self, files, capsys):
         code, payload, _ = run(
             capsys, "eval", "--spectrum", files / "flat.json",

@@ -30,8 +30,7 @@ from riskspace.stepdist import PairedSample, StepQuantile
 FLAT = StepSpectrum([0.0, 1.0], [1.0])
 EPS = np.finfo(float).eps
 
-# the square-root spectrum through callables only: no density_sup, no tail
-# asymptotics, no kink_gaps
+# the square-root spectrum through callables only: no density_sup, no steps
 SQRT_BARE = GeneralSpectrum(
     density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
     q_exponent=2.0,
@@ -76,7 +75,7 @@ def reference_gaps(z_abs, sigma):
     """{1} with |Z|'s tail masses, sigma's kink gaps, and the fallback mesh
     for a spectrum without a declared density supremum."""
     parts = [np.ones(1), z_abs.tail_masses]
-    if sigma.kink_gaps is not None:
+    if isinstance(sigma, StepSpectrum):
         parts.append(sigma.kink_gaps)
     if sigma.density_sup is None:
         parts.append(FALLBACK_GAPS)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskspace.dual import dual_norm
 from riskspace.embedding import (
     EmbeddingConstant,
     avar_sandwich_check,
@@ -16,6 +17,7 @@ from riskspace.embedding import (
 )
 from riskspace.risk import sigma_norm
 from riskspace.spectrum import (
+    FALLBACK_GAPS,
     AvarSpectrum,
     GeneralSpectrum,
     PowerSqrtSpectrum,
@@ -24,6 +26,13 @@ from riskspace.spectrum import (
 from riskspace.stepdist import StepQuantile
 
 FLAT = StepSpectrum([0.0, 1.0], [1.0])
+
+SQRT_LIKE = GeneralSpectrum(
+    density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
+    q_exponent=2.0,
+    gap_tail_fn=np.sqrt,
+    density_sup=math.inf,
+)
 
 
 def random_step(rng):
@@ -37,13 +46,91 @@ def random_step(rng):
 def grid_ratio_sup(source, target, n=10_001):
     gaps = np.linspace(0.0, 1.0, n)[1:]
     for s in (source, target):
-        if s.is_step:
+        if isinstance(s, StepSpectrum):
             kinks = 1.0 - s.breakpoints
             gaps = np.concatenate([gaps, kinks[(kinks > 0) & (kinks <= 1)]])
     gaps = np.unique(gaps)
     s1 = np.asarray(source.tail_from_gap(gaps), dtype=float)
     s2 = np.asarray(target.tail_from_gap(gaps), dtype=float)
     return float(np.max(s2 / s1))
+
+
+# -- reference: the earlier union scan with declared tail asymptotics ----------
+
+
+def reference_declarations(sigma):
+    """Kink gaps (None: scan the mesh) and S(1 - g) ~ coeff * g**order, as
+    the spectra used to declare them; general spectra declared none."""
+    if isinstance(sigma, StepSpectrum):
+        return sigma.kink_gaps, 1.0, float(sigma.values[-1])
+    if isinstance(sigma, PowerSqrtSpectrum):
+        return np.empty(0), 0.5, 1.0
+    return None, None, None
+
+
+def reference_constant(source, target):
+    """Scan {1}, both spectra's kink gaps and, unless both declare kinks and
+    tails, the fallback mesh; a larger limit from the tail orders wins."""
+    (kinks1, o1, k1), (kinks2, o2, k2) = map(reference_declarations, (source, target))
+    dense = kinks1 is None or kinks2 is None
+    if None in (o1, k1, o2, k2):
+        dense, limit = True, -math.inf
+    elif o2 < o1:
+        limit = math.inf
+    elif o2 > o1:
+        limit = 0.0
+    elif k1 == 0.0:
+        limit = math.inf if k2 > 0 else 0.0
+    else:
+        limit = k2 / k1
+    parts = [np.ones(1), *(k for k in (kinks1, kinks2) if k is not None)]
+    if dense:
+        parts.append(FALLBACK_GAPS)
+    gaps = np.concatenate(parts)
+    gaps = np.unique(gaps[(gaps > 0.0) & (gaps <= 1.0)])[::-1]
+    ratio = target.tail_from_gap(gaps) / source.tail_from_gap(gaps)
+    i = int(np.argmax(ratio))
+    if limit > ratio[i]:
+        return EmbeddingConstant(limit, 1.0, dense)
+    return EmbeddingConstant(float(ratio[i]), float(1.0 - gaps[i]), dense)
+
+
+def deep_step(rng):
+    """Up to 40 cells, breakpoints down to 1e-12 below 1, and in half the
+    draws a first cell of zero density."""
+    cuts = rng.uniform(0.0, 1.0, rng.integers(0, 40))
+    deep = 1.0 - np.geomspace(1e-3, 1e-12, rng.integers(0, 4))
+    edges = np.unique(np.concatenate([[0.0], cuts, deep, [1.0]]))
+    vals = np.cumsum(rng.uniform(0.0, 2.0, edges.size - 1))
+    if edges.size > 2 and rng.random() < 0.5:
+        vals[0] = 0.0
+    return StepSpectrum(edges, vals / np.dot(vals, np.diff(edges)))
+
+
+class TestStepTargets:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["step", "avar", "power_sqrt", "sqrt_like"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_target_nodes_match_the_union_scan(self, seed, family):
+        rng = np.random.default_rng(seed)
+        target = deep_step(rng)
+        source = {
+            "step": lambda: deep_step(rng),
+            "avar": lambda: AvarSpectrum(float(rng.uniform(0.0, 0.999999))),
+            "power_sqrt": PowerSqrtSpectrum,
+            "sqrt_like": lambda: SQRT_LIKE,
+        }[family]()
+        result = comparability_constant(source, target)
+        reference = reference_constant(source, target)
+        # a max over a subset of the reference's gaps, short by rounding only
+        assert result.value <= reference.value <= result.value + 4 * math.ulp(result.value)
+        assert not result.limit_unverified
+        assert 1.0 - result.attaining_alpha in target.kink_gaps[1:]
+        # the constant is the dual gauge of sigma_target(U) under the source
+        z = StepQuantile(target.values, np.diff(target.breakpoints))
+        assert result.value == dual_norm(z, source).value
 
 
 class TestPairwiseConstants:
@@ -99,11 +186,10 @@ class TestPairwiseConstants:
             q_exponent=2.0,
             gap_tail_fn=np.sqrt,
             density_sup=math.inf,
-            tail_order=0.5,
-            tail_coeff=1.0,
         )
+        # a step target is scanned exactly at its nodes, whatever the source
         result = comparability_constant(sqrt_like, AvarSpectrum(0.75))
-        assert result.limit_unverified
+        assert not result.limit_unverified
         assert result.value == pytest.approx(2.0, rel=1e-9)
 
     def test_general_gap_form_stays_below_the_true_sup(self):
@@ -129,18 +215,39 @@ class TestPairwiseConstants:
             density_fn=lambda u: (1.0 + u) / 1.5,
             gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
             density_sup=4.0 / 3.0,
-            tail_order=1.0,
-            tail_coeff=4.0 / 3.0,
         )
         assert comparability_constant(FLAT, rising) == EmbeddingConstant(4.0 / 3.0, 1.0, True)
-        # undeclared asymptotics make the limit -inf: the scanned sup stands
+        # against a step target the source's undeclared limit does not matter
         sqrt_bare = GeneralSpectrum(
             density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
             q_exponent=2.0,
             gap_tail_fn=np.sqrt,
         )
         assert comparability_constant(sqrt_bare, AvarSpectrum(0.75)) == (
-            EmbeddingConstant(2.0, 0.75, True)
+            EmbeddingConstant(2.0, 0.75, False)
+        )
+
+    def test_non_step_targets_take_the_limit_from_density_sup(self):
+        # sigma_target(1-) / sigma_source(1-) by l'Hopital; a spectrum against
+        # itself is 1 exactly, though inf / inf leaves the limit undetermined
+        power = PowerSqrtSpectrum()
+        assert comparability_constant(power, PowerSqrtSpectrum()) == (
+            EmbeddingConstant(1.0, 0.0, False)
+        )
+        assert comparability_constant(power, SQRT_LIKE) == EmbeddingConstant(1.0, 0.0, True)
+        assert comparability_constant(FLAT, power) == EmbeddingConstant(math.inf, 1.0, False)
+        assert comparability_constant(FLAT, SQRT_LIKE) == EmbeddingConstant(math.inf, 1.0, False)
+        # undeclared: the scan of the mesh, from gap 1 down to 1e-12, stands flagged
+        sqrt_bare = GeneralSpectrum(
+            density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
+            q_exponent=2.0,
+            gap_tail_fn=np.sqrt,
+        )
+        assert FALLBACK_GAPS[0] == 1.0
+        assert FALLBACK_GAPS[-1] == pytest.approx(1e-12, rel=1e-12)
+        ratio = np.sqrt(FALLBACK_GAPS) / FLAT.tail_from_gap(FALLBACK_GAPS)
+        assert comparability_constant(FLAT, sqrt_bare) == (
+            EmbeddingConstant(float(ratio[-1]), float(1.0 - FALLBACK_GAPS[-1]), True)
         )
 
     @given(st.integers(0, 2**32 - 1))

@@ -13,14 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskspace.spectrum import (
-    FALLBACK_GAPS,
     AvarSpectrum,
     GeneralSpectrum,
     PowerSqrtSpectrum,
     Spectrum,
     StepSpectrum,
     load_spectrum,
-    scan_gaps,
     spectrum_from_dict,
     step_approx,
 )
@@ -342,20 +340,6 @@ class TestKinkScan:
     def test_kink_gaps_per_family(self):
         s = StepSpectrum([0.0, 0.25, 0.5, 1.0], [0.5, 1.0, 1.25])
         assert s.kink_gaps.tolist() == [0.0, 0.5, 0.75, 1.0]
-        assert PowerSqrtSpectrum().kink_gaps.size == 0
-        flat = GeneralSpectrum(density_fn=np.ones_like, gap_tail_fn=lambda g: g)
-        assert flat.kink_gaps is None
-
-    def test_scan_gaps_union_is_descending_in_unit_interval(self):
-        # kink gaps 0 and 1 of both steps collapse into one 1; 0 is dropped
-        step = StepSpectrum([0.0, 0.5, 1.0], [0.5, 1.5])
-        gaps = scan_gaps([AvarSpectrum(0.75), PowerSqrtSpectrum(), step])
-        assert gaps.tolist() == [1.0, 0.5, 0.25]
-
-    def test_scan_gaps_dense_adds_the_fallback_mesh(self):
-        gaps = scan_gaps([PowerSqrtSpectrum()], dense=True)
-        assert np.array_equal(gaps, FALLBACK_GAPS)
-        assert gaps[0] == 1.0 and gaps[-1] == pytest.approx(1e-12, rel=1e-12)
 
 
 class TestGeneralSpectrum:

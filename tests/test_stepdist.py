@@ -217,6 +217,18 @@ class TestConstruction:
         d = StepQuantile.from_samples([1.0, 2.0], weights=[2.0, 6.0])
         assert d.masses.tolist() == [0.25, 0.75]
 
+    def test_mass_total_that_overflows_is_rescaled(self):
+        # each mass is finite, their sum is not: rescaling by it gave zeros
+        d = StepQuantile([1.0, 2.0], [1e308, 1e308])
+        assert d.masses.tolist() == [0.5, 0.5]
+        assert d.mean == 1.5
+        d = StepQuantile.from_samples([1.0, 2.0, 3.0], weights=[1e308] * 3)
+        assert d.masses.tolist() == [1.0 / 3.0] * 3
+
+    def test_from_segments_rejects_nan_mass(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            StepQuantile.from_segments([1.0, 2.0, 3.0], [float("nan"), 0.5, 0.5])
+
     def test_rejects_decreasing_direct_values(self):
         with pytest.raises(ValueError):
             StepQuantile([2.0, 1.0], [0.5, 0.5])
