@@ -4,8 +4,9 @@ The package works with finitely supported laws throughout: distributions are
 step quantile functions, spectra are nonnegative nondecreasing unit-mass
 weights on (0, 1), and every risk value, norm, dual gauge, mixing measure and
 embedding constant is computed in closed form on the step structure.  Two
-closed-form families (AVaR and the inverse-square-root spectrum) and a
-callable-backed escape hatch cover the non-step cases.
+closed-form families (AVaR and the inverse-square-root spectrum) and
+``GeneralSpectrum``, closed forms the caller declares in gap coordinates,
+cover the non-step cases.
 """
 
 from .dual import (

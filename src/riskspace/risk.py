@@ -3,7 +3,7 @@
 The risk of a step quantile against any spectrum is an exact finite sum:
 each segment contributes its value times the sigma-mass of its u-interval,
 and that sigma-mass is a difference of tail weights evaluated in gap
-coordinates.  No quadrature is involved for step and power-sqrt spectra.
+coordinates.  No quadrature is involved for any spectrum.
 """
 
 from __future__ import annotations
@@ -44,12 +44,14 @@ def spectral_risk_via_cdf(sigma: Spectrum, dist: StepQuantile) -> float:
     """Tail-integral form, summing value gaps against tail weights.
 
     Algebraically the Abel resummation of the quantile integral; the two
-    routes agree to floating-point error and serve as mutual checks.
+    routes agree to floating-point error and serve as mutual checks.  The sum
+    runs on halved values, exact away from subnormals, so value gaps and
+    partial sums up to twice the largest double stay finite.
     """
     sigma.require_valid()
-    v = dist.values
+    h = dist.values * 0.5
     svals = sigma.tail_from_gap(dist.tail_masses[:-1])
-    return float(v[0] * svals[0] + np.dot(np.diff(v), svals[1:]))
+    return 2.0 * float(h[0] * svals[0] + np.dot(np.diff(h), svals[1:]))
 
 
 def avar(alpha: float, dist: StepQuantile) -> float:

@@ -182,9 +182,10 @@ class _GapSteps:
 class Spectrum:
     """Common interface for spectral densities.
 
-    Subclasses provide ``density``, ``tail_from_gap`` and the power-integral
-    helpers; the generic mesh-based ``validate`` covers callables for which
-    no exact check exists.  Code that needs a step's exact structure tests
+    Subclasses provide ``density_from_gap``, ``tail_from_gap`` and the
+    power-integral helpers, from which ``density`` and ``tail`` derive the
+    level forms; the generic mesh-based ``validate`` covers callables for
+    which no exact check exists.  Code that needs a step's exact structure tests
     ``isinstance(sigma, StepSpectrum)``.
 
     Array contract: ``density``, ``tail`` and every gap method
@@ -199,13 +200,14 @@ class Spectrum:
 
     # -- evaluation ------------------------------------------------------
 
-    def density(self, u):
-        raise NotImplementedError
-
     @_scalar_or_array
+    def density(self, u):
+        """sigma(u), read from the gap form at g = 1 - u."""
+        return self.density_from_gap(1.0 - u)
+
     def density_from_gap(self, g):
         """sigma evaluated at u = 1 - g, stable for tiny gaps."""
-        return self.density(1.0 - g)
+        raise NotImplementedError
 
     @_scalar_or_array
     def tail(self, alpha):
@@ -254,8 +256,8 @@ class Spectrum:
         return list(self._violations)
 
     def _check(self) -> list[Violation]:
-        u = 1.0 - FALLBACK_GAPS
-        return _violations_of(u, self.density(u), "density", 1e-12, self.tail(0.0))
+        dens = self.density_from_gap(FALLBACK_GAPS)
+        return _violations_of(1.0 - FALLBACK_GAPS, dens, "density", 1e-12, self.tail(0.0))
 
     def require_valid(self) -> None:
         violations = self.validate()
@@ -449,26 +451,29 @@ class PowerSqrtSpectrum(Spectrum):
 
 @dataclass(frozen=True, eq=False)
 class GeneralSpectrum(Spectrum):
-    """Spectrum given by callables; Python-API only, no file form.
+    """Spectrum declared by closed forms in gap coordinates; Python-API only,
+    no file form.
 
-    The tail weight is given in gap form only, ``gap_tail_fn(g) = S(1 - g)``;
-    ``Spectrum.tail`` derives the level form.  (A level-form callable read
-    at ``1 - g`` would lose all but a few digits at small gaps.)
-    ``q_exponent`` declares integrability: sigma**q has finite integral for
-    q < q_exponent and is treated as infinite at or beyond it.  The
-    optional ``density_sup`` gives ``comparability_constant`` its ``a -> 1``
-    limit against a general target; the dual scans need none of it.
+    ``gap_density_fn(g) = sigma(1 - g)`` and ``gap_tail_fn(g) = S(1 - g)``;
+    ``Spectrum.density`` and ``Spectrum.tail`` derive the level forms.  (A
+    level-form callable read at ``1 - g`` would lose all but a few digits at
+    small gaps, and read sigma(1) once g falls below 2**-53.)  The optional
+    ``tail_power_fn(g, q)`` is the integral of sigma**q over the top ``g``,
+    ``inf`` where sigma**q is not integrable; ``tail_power_integral`` and
+    ``lq_norm`` need it for every q other than 1.  The optional
+    ``density_sup`` is sigma(1-): ``lq_norm(inf)`` returns it, and it gives
+    ``comparability_constant`` its ``a -> 1`` limit against a general target;
+    the dual scans need none of it.  No quadrature is involved.
     """
 
-    density_fn: Callable[[np.ndarray], np.ndarray]
+    gap_density_fn: Callable[[np.ndarray], np.ndarray]
     gap_tail_fn: Callable[[np.ndarray], np.ndarray]
-    q_exponent: float = math.inf
+    tail_power_fn: Callable[[np.ndarray, float], np.ndarray] | None = None
     density_sup: float | None = None
-    name: str = "general"
 
     @_scalar_or_array
-    def density(self, u):
-        return self.density_fn(u)
+    def density_from_gap(self, g):
+        return self.gap_density_fn(g)
 
     @_scalar_or_array
     def tail_from_gap(self, g):
@@ -477,33 +482,19 @@ class GeneralSpectrum(Spectrum):
     def lq_norm(self, q: float) -> float:
         if q < 1:
             raise ValueError("Lq norms need q >= 1")
-        if q >= self.q_exponent:
-            return math.inf
         if math.isinf(q):
-            if self.density_sup is not None:
-                return float(self.density_sup)
-            return float(np.max(self.density(1.0 - FALLBACK_GAPS)))
-        from scipy import integrate
-
-        power, _ = integrate.quad(
-            lambda u: float(self.density(u)) ** q, 0.0, 1.0, epsrel=1e-9, limit=200
-        )
-        return float(power ** (1.0 / q))
+            if self.density_sup is None:
+                raise ValueError("lq_norm(inf) needs a declared density_sup")
+            return float(self.density_sup)
+        return float(self.tail_power_integral(1.0, q)) ** (1.0 / q)
 
     @_scalar_or_array
     def tail_power_integral(self, g, q: float):
         if q == 1.0:
-            # exactly the declared tail weight; quadrature would only add
-            # noise (and cannot cope with densities singular at 1)
-            return self.tail_from_gap(g)
-        if q >= self.q_exponent:
-            return np.where(g > 0, math.inf, 0.0)
-        from scipy import integrate
-
-        def power(gg):
-            return float(self.density_from_gap(gg)) ** q
-
-        return [integrate.quad(power, 0.0, gi, epsrel=1e-9, limit=200)[0] for gi in g]
+            return self.gap_tail_fn(g)
+        if self.tail_power_fn is None:
+            raise ValueError(f"sigma**{q:g} integrals need a declared tail_power_fn")
+        return self.tail_power_fn(g, q)
 
     @_scalar_or_array
     def invert_tail_power(self, target, q: float):
@@ -528,9 +519,6 @@ class GeneralSpectrum(Spectrum):
         if abs(float(self.tail_power_integral(g, q)) - target) > 1e-10:
             raise ValueError("root finding failed to reach the 1e-10 residual target")
         return g
-
-    def __repr__(self) -> str:
-        return f"GeneralSpectrum(name={self.name!r}, q_exponent={self.q_exponent!r})"
 
 
 # -- step approximation ---------------------------------------------------------

@@ -60,6 +60,8 @@ class StepQuantile:
             total = float(mass.sum())
         if total != 1.0:
             mass /= total
+            if mass.min() == 0.0:
+                raise ValueError("a segment mass underflows to 0 when normalised")
         vals.setflags(write=False)
         mass.setflags(write=False)
         object.__setattr__(self, "values", vals)

@@ -82,6 +82,27 @@ class TestEval:
         assert code == 0
         assert payload["value"] == 1.5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["quantile", "cdf", "both"])
+    def test_values_spanning_more_than_the_float_range(self, files, tmp_path, capsys, method):
+        # the value gap 3.4e308 overflows; the cdf form sums halved values
+        (tmp_path / "wide.csv").write_text("-1.7e308\n1.7e308\n")
+        code, payload, _ = run(
+            capsys, "eval", "--spectrum", files / "avar09.json",
+            "--samples", tmp_path / "wide.csv", "--method", method,
+        )
+        assert code == 0
+        assert payload["value"] == 1.7e308
+
+    def test_weight_that_underflows_when_normalised(self, files, tmp_path, capsys):
+        (tmp_path / "tiny.csv").write_text("value,weight\n1,1e300\n2,1e-300\n")
+        code, payload, err = run(
+            capsys, "eval", "--spectrum", files / "avar05.json", "--samples", tmp_path / "tiny.csv"
+        )
+        assert code == 2
+        assert payload is None
+        assert "underflows" in err
+
     def test_cdf_method_alone(self, files, capsys):
         code, payload, _ = run(
             capsys, "eval", "--spectrum", files / "flat.json",

@@ -31,11 +31,7 @@ FLAT = StepSpectrum([0.0, 1.0], [1.0])
 EPS = np.finfo(float).eps
 
 # the square-root spectrum through callables only: no density_sup, no steps
-SQRT_BARE = GeneralSpectrum(
-    density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
-    q_exponent=2.0,
-    gap_tail_fn=np.sqrt,
-)
+SQRT_BARE = GeneralSpectrum(gap_density_fn=lambda g: 0.5 / np.sqrt(g), gap_tail_fn=np.sqrt)
 
 
 def indicator(p):
@@ -167,7 +163,7 @@ class TestDualNorm:
         # sigma(u) = (1 + u) / 1.5: the gauge p / S(1 - p) tends to 3/4; a
         # level-form tail read at 1 - p gave 0.74977 at p = 1e-13
         rising = GeneralSpectrum(
-            density_fn=lambda u: (1.0 + u) / 1.5,
+            gap_density_fn=lambda g: (2.0 - g) / 1.5,
             gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
         )
         result = dual_norm(indicator(1e-13), rising)

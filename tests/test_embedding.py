@@ -28,11 +28,12 @@ from riskspace.stepdist import StepQuantile
 FLAT = StepSpectrum([0.0, 1.0], [1.0])
 
 SQRT_LIKE = GeneralSpectrum(
-    density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
-    q_exponent=2.0,
+    gap_density_fn=lambda g: 0.5 / np.sqrt(g),
     gap_tail_fn=np.sqrt,
     density_sup=math.inf,
 )
+# the same without density_sup: its a -> 1 limit is undeclared
+SQRT_BARE = GeneralSpectrum(gap_density_fn=lambda g: 0.5 / np.sqrt(g), gap_tail_fn=np.sqrt)
 
 
 def random_step(rng):
@@ -181,14 +182,8 @@ class TestPairwiseConstants:
             assert not exact.limit_unverified
 
     def test_general_spectra_get_flagged(self):
-        sqrt_like = GeneralSpectrum(
-            density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
-            q_exponent=2.0,
-            gap_tail_fn=np.sqrt,
-            density_sup=math.inf,
-        )
         # a step target is scanned exactly at its nodes, whatever the source
-        result = comparability_constant(sqrt_like, AvarSpectrum(0.75))
+        result = comparability_constant(SQRT_LIKE, AvarSpectrum(0.75))
         assert not result.limit_unverified
         assert result.value == pytest.approx(2.0, rel=1e-9)
 
@@ -197,7 +192,7 @@ class TestPairwiseConstants:
         # mesh reaches g = 1e-12, where a level-form tail read at 1 - g gave
         # 1.333395355618737, above the supremum
         rising = GeneralSpectrum(
-            density_fn=lambda u: (1.0 + u) / 1.5,
+            gap_density_fn=lambda g: (2.0 - g) / 1.5,
             gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
         )
         result = comparability_constant(FLAT, rising)
@@ -212,18 +207,13 @@ class TestPairwiseConstants:
         # sigma(u) = (1 + u) / 1.5 has S(1 - g) / g = (2 - g/2) / 1.5 < 4/3 on
         # every scanned gap, so its declared limit sigma(1-) = 4/3 wins at level 1
         rising = GeneralSpectrum(
-            density_fn=lambda u: (1.0 + u) / 1.5,
+            gap_density_fn=lambda g: (2.0 - g) / 1.5,
             gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
             density_sup=4.0 / 3.0,
         )
         assert comparability_constant(FLAT, rising) == EmbeddingConstant(4.0 / 3.0, 1.0, True)
         # against a step target the source's undeclared limit does not matter
-        sqrt_bare = GeneralSpectrum(
-            density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
-            q_exponent=2.0,
-            gap_tail_fn=np.sqrt,
-        )
-        assert comparability_constant(sqrt_bare, AvarSpectrum(0.75)) == (
+        assert comparability_constant(SQRT_BARE, AvarSpectrum(0.75)) == (
             EmbeddingConstant(2.0, 0.75, False)
         )
 
@@ -238,15 +228,10 @@ class TestPairwiseConstants:
         assert comparability_constant(FLAT, power) == EmbeddingConstant(math.inf, 1.0, False)
         assert comparability_constant(FLAT, SQRT_LIKE) == EmbeddingConstant(math.inf, 1.0, False)
         # undeclared: the scan of the mesh, from gap 1 down to 1e-12, stands flagged
-        sqrt_bare = GeneralSpectrum(
-            density_fn=lambda u: 0.5 / np.sqrt(1.0 - u),
-            q_exponent=2.0,
-            gap_tail_fn=np.sqrt,
-        )
         assert FALLBACK_GAPS[0] == 1.0
         assert FALLBACK_GAPS[-1] == pytest.approx(1e-12, rel=1e-12)
         ratio = np.sqrt(FALLBACK_GAPS) / FLAT.tail_from_gap(FALLBACK_GAPS)
-        assert comparability_constant(FLAT, sqrt_bare) == (
+        assert comparability_constant(FLAT, SQRT_BARE) == (
             EmbeddingConstant(float(ratio[-1]), float(1.0 - FALLBACK_GAPS[-1]), True)
         )
 

@@ -129,13 +129,49 @@ class TestLinfEscape:
             linf_escape(FLAT, 0)
 
 
+def _sqrt_tail_power(g, q):
+    # integral of (1 / (2 sqrt t))**q over t in [0, g]; infinite from q = 2 on
+    if q >= 2:
+        return np.where(g > 0, math.inf, 0.0)
+    expo = 1.0 - q / 2.0
+    return 2.0**-q * g**expo / expo
+
+
 class TestGeneralSpectrumEscapes:
-    # bounded spectra given by callables: the bands come from bisection
-    FLAT_GENERAL = GeneralSpectrum(density_fn=np.ones_like, gap_tail_fn=lambda g: g)
-    RISING = GeneralSpectrum(
-        density_fn=lambda u: (1.0 + u) / 1.5,
-        gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
+    # spectra declared by closed forms in gap coordinates: the bands come
+    # from bisection on the declared power integral
+    FLAT_GENERAL = GeneralSpectrum(
+        gap_density_fn=np.ones_like, gap_tail_fn=lambda g: g, tail_power_fn=lambda g, q: g
     )
+    RISING = GeneralSpectrum(
+        gap_density_fn=lambda g: (2.0 - g) / 1.5,
+        gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
+        tail_power_fn=lambda g, q: (
+            -(2.0 ** (q + 1.0)) * np.expm1((q + 1.0) * np.log1p(-g / 2.0)) / ((q + 1.0) * 1.5**q)
+        ),
+    )
+    SQRT_LIKE = GeneralSpectrum(
+        gap_density_fn=lambda g: 0.5 / np.sqrt(g),
+        gap_tail_fn=np.sqrt,
+        tail_power_fn=_sqrt_tail_power,
+    )
+
+    @pytest.mark.parametrize("depth", [3, 40])
+    def test_sqrt_like_escape_matches_power_sqrt(self, depth):
+        # at depth 40 band gaps fall below 2**-53, where a level-form density
+        # read at 1 - g gives sigma(1) = inf
+        general = lp_escape(self.SQRT_LIKE, 1.5, depth)
+        exact = lp_escape(PowerSqrtSpectrum(), 1.5, depth)
+        np.testing.assert_allclose(general.dist.values, exact.dist.values, rtol=1e-12)
+        np.testing.assert_allclose(general.dist.masses, exact.dist.masses, rtol=1e-9)
+        assert general.predicted_risk == exact.predicted_risk
+        assert general.lp_partial == exact.lp_partial
+
+    def test_undeclared_power_integral_raises(self):
+        bare = GeneralSpectrum(gap_density_fn=np.ones_like, gap_tail_fn=lambda g: g)
+        with pytest.raises(ValueError, match="tail_power_fn"):
+            lp_escape(bare, 1.5, 3)
+        assert linf_escape(bare, 4).dist.max_value == 4.0
 
     def test_lp_escape_matches_the_flat_step(self):
         general = lp_escape(self.FLAT_GENERAL, 1.5, 4)

@@ -290,11 +290,18 @@ class TestGapKernel:
         assert s.invert_tail(0.0) == 0.0
 
 
+def _rising_tail_power(g, q):
+    # integral of ((2 - t) / 1.5)**q over t in [0, g], without cancellation
+    # at small g
+    return -(2.0 ** (q + 1.0)) * np.expm1((q + 1.0) * np.log1p(-g / 2.0)) / ((q + 1.0) * 1.5**q)
+
+
 def _general_rising():
     # sigma(u) = (1 + u) / 1.5, bounded, in gap form
     return GeneralSpectrum(
-        density_fn=lambda u: (1.0 + np.asarray(u)) / 1.5,
+        gap_density_fn=lambda g: (2.0 - g) / 1.5,
         gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
+        tail_power_fn=_rising_tail_power,
     )
 
 
@@ -342,20 +349,32 @@ class TestKinkScan:
         assert s.kink_gaps.tolist() == [0.0, 0.5, 0.75, 1.0]
 
 
+def _sqrt_tail_power(g, q):
+    # integral of (1 / (2 sqrt t))**q over t in [0, g]; infinite from q = 2 on
+    if q >= 2:
+        return np.where(g > 0, math.inf, 0.0)
+    expo = 1.0 - q / 2.0
+    return 2.0**-q * g**expo / expo
+
+
 class TestGeneralSpectrum:
     def _power(self):
-        # sigma(u) = (1/2)(1-u)^(-1/2) expressed through callables only
+        # sigma(u) = (1/2)(1-u)^(-1/2) expressed through closed forms only
         return GeneralSpectrum(
-            density_fn=lambda u: 0.5 / np.sqrt(1.0 - np.asarray(u)),
+            gap_density_fn=lambda g: 0.5 / np.sqrt(g),
             gap_tail_fn=np.sqrt,
-            q_exponent=2.0,
+            tail_power_fn=_sqrt_tail_power,
         )
 
     def test_matches_closed_form_family(self):
         gen = self._power()
         ref = PowerSqrtSpectrum()
-        gs = np.array([1e-9, 0.01, 0.5, 1.0])
+        gs = np.array([1e-300, 1e-9, 0.01, 0.5, 1.0])
         assert gen.tail_from_gap(gs) == pytest.approx(ref.tail_from_gap(gs), rel=1e-12)
+        assert _bits(gen.density_from_gap(gs)) == _bits(ref.density_from_gap(gs))
+        levels = np.array([0.0, 0.5, 0.99, 1.0 - 1e-9])
+        assert _bits(gen.density(levels)) == _bits(ref.density(levels))
+        assert gen.validate() == []
 
     def test_bisection_inversion(self):
         gen = self._power()
@@ -372,7 +391,29 @@ class TestGeneralSpectrum:
     def test_declared_exponent_gates_lq(self):
         gen = self._power()
         assert math.isinf(gen.lq_norm(2.0))
-        assert gen.lq_norm(1.5) == pytest.approx(2.0 ** (1 / 3), rel=1e-9)
+        assert gen.lq_norm(1.5) == pytest.approx(PowerSqrtSpectrum().lq_norm(1.5), rel=1e-14)
+
+    def test_small_gap_power_integral_is_the_closed_form(self):
+        # a quadrature of sigma**1.5 from gap 0 returned inf here
+        assert self._power().tail_power_integral(1e-12, 1.5) == pytest.approx(
+            PowerSqrtSpectrum().tail_power_integral(1e-12, 1.5), rel=1e-15
+        )
+
+    def test_undeclared_forms_raise(self):
+        bare = GeneralSpectrum(gap_density_fn=lambda g: 0.5 / np.sqrt(g), gap_tail_fn=np.sqrt)
+        for call in (lambda: bare.lq_norm(1.5), lambda: bare.tail_power_integral(0.5, 1.5)):
+            with pytest.raises(ValueError, match="tail_power_fn"):
+                call()
+        assert bare.lq_norm(1.0) == 1.0
+        assert bare.tail_power_integral(0.25, 1.0) == 0.5
+        with pytest.raises(ValueError, match="density_sup"):
+            bare.lq_norm(math.inf)
+        rising = GeneralSpectrum(
+            gap_density_fn=lambda g: (2.0 - g) / 1.5,
+            gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
+            density_sup=4.0 / 3.0,
+        )
+        assert rising.lq_norm(math.inf) == 4.0 / 3.0
 
 
 class TestStepApprox:
@@ -409,9 +450,6 @@ class TestFileForm:
             spectrum_from_dict({"kind": "cauchy"})
 
     def test_general_has_no_file_form(self):
-        gen = GeneralSpectrum(
-            density_fn=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            gap_tail_fn=lambda g: np.asarray(g, dtype=float),
-        )
+        gen = GeneralSpectrum(gap_density_fn=np.ones_like, gap_tail_fn=lambda g: g)
         with pytest.raises(NotImplementedError):
             gen.to_dict()

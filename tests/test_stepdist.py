@@ -225,6 +225,13 @@ class TestConstruction:
         d = StepQuantile.from_samples([1.0, 2.0, 3.0], weights=[1e308] * 3)
         assert d.masses.tolist() == [1.0 / 3.0] * 3
 
+    def test_mass_that_underflows_when_normalised_is_rejected(self):
+        # 1e-300 / 1e300 is 0: the canonical form would hold a zero-mass segment
+        with pytest.raises(ValueError, match="underflows"):
+            StepQuantile([1.0, 2.0], [1e300, 1e-300])
+        with pytest.raises(ValueError, match="underflows"):
+            StepQuantile.from_segments([2.0, 1.0], [1e-300, 1e300])
+
     def test_from_segments_rejects_nan_mass(self):
         with pytest.raises(ValueError, match="nonnegative"):
             StepQuantile.from_segments([1.0, 2.0, 3.0], [float("nan"), 0.5, 0.5])
