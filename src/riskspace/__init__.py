@@ -41,7 +41,6 @@ from .extremal import (
 )
 from .kusuoka import (
     KusuokaMeasure,
-    SpectrumSet,
     load_measure,
     measure_from_dict,
     measure_to_dict,
@@ -64,6 +63,7 @@ from .risk import (
 from .spectrum import (
     AvarSpectrum,
     GeneralSpectrum,
+    InvalidSpectrumError,
     PowerSqrtSpectrum,
     Spectrum,
     StepSpectrum,
@@ -90,6 +90,7 @@ __all__ = [
     "EmbeddingConstant",
     "GeneralSpectrum",
     "InputFormatError",
+    "InvalidSpectrumError",
     "KusuokaMeasure",
     "LinfEscape",
     "LpEscape",
@@ -98,7 +99,6 @@ __all__ = [
     "RiskReport",
     "SandwichReport",
     "Spectrum",
-    "SpectrumSet",
     "StepQuantile",
     "StepSpectrum",
     "avar",

@@ -90,7 +90,6 @@ def _piece_ends(Z: StepQuantile) -> tuple[StepQuantile, np.ndarray]:
 
 def dual_norm(Z: StepQuantile, sigma: Spectrum) -> DualNorm:
     """Dual gauge of ``Z``: sup over levels of (1-a) AVaR_a(|Z|) / S(a)."""
-    sigma.require_valid()
     z_abs, gaps = _piece_ends(Z)
     ratio = z_abs.upper_integral(gaps) / sigma.tail_from_gap(gaps)
     i = int(np.argmax(ratio))
@@ -107,7 +106,6 @@ def dominates(Z: StepQuantile, sigma: Spectrum, eta: float) -> DominanceCertific
     """
     if not eta > 0:
         raise ValueError("dominance factor eta must be positive")
-    sigma.require_valid()
     z_abs, gaps = _piece_ends(Z)
     margins = (eta * sigma.tail_from_gap(gaps) - z_abs.upper_integral(gaps)) / gaps
     i = int(np.argmin(margins))
@@ -123,7 +121,6 @@ def indicator_dual_norm(sigma: Spectrum, p_event: float) -> float:
     """
     if not 0.0 < p_event <= 1.0:
         raise ValueError("event probability must lie in (0, 1]")
-    sigma.require_valid()
     return float(p_event / sigma.tail_from_gap(p_event))
 
 
@@ -140,7 +137,6 @@ def hahn_banach_witness(sigma: Spectrum, dist: StepQuantile) -> PairedSample:
     each refined piece and is read there rather than averaged over a piece
     perhaps one ulp wide.  Unbounded spectra have no attaining dual element.
     """
-    sigma.require_valid()
     if not isinstance(sigma, StepSpectrum):
         raise TypeError(
             "attaining dual elements exist for step spectra only; "
@@ -161,7 +157,6 @@ def quantile_density_ratio_bound(Z: StepQuantile, sigma: Spectrum) -> float:
     tails.  The supremum over each piece between tail masses of |Z| sits at
     its larger gap, where the density is smallest.
     """
-    sigma.require_valid()
     z_abs, gaps = _piece_ends(Z)
     q = z_abs.value_at_gap(gaps)
     dens = sigma.density_from_gap(gaps)

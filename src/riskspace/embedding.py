@@ -62,8 +62,6 @@ def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConst
     infinite l'Hopital limit, and for ``c(sigma, sigma) = 1``; otherwise a
     mesh lower bound flagged ``limit_unverified``.
     """
-    source.require_valid()
-    target.require_valid()
     if source == target:
         return EmbeddingConstant(1.0, 0.0)
     limit, unverified = -math.inf, False
@@ -92,8 +90,6 @@ def sharpness_witness(source: Spectrum, target: Spectrum, level: float) -> float
     """
     if not 0.0 < level < 1.0:
         raise ValueError("witness level must lie in (0, 1)")
-    source.require_valid()
-    target.require_valid()
     return float(target.tail_from_gap(1.0 - level) / source.tail_from_gap(1.0 - level))
 
 

@@ -89,7 +89,6 @@ def lp_escape(sigma: Spectrum, q: float, depth: int, submesh: int = 8) -> LpEsca
         raise ValueError("truncation depth must be at least 1")
     if submesh < 1:
         raise ValueError("submesh must be at least 1")
-    sigma.require_valid()
     total = float(sigma.tail_power_integral(1.0, q))
     if not math.isfinite(total) or total <= 0:
         raise ValueError(f"sigma**{q:g} is not integrable; the construction needs ||sigma||_q < inf")
@@ -142,7 +141,6 @@ def linf_escape(sigma: Spectrum, depth: int) -> LinfEscape:
     """
     if depth < 1:
         raise ValueError("truncation depth must be at least 1")
-    sigma.require_valid()
     gaps = np.concatenate([[1.0], sigma.invert_tail(np.ldexp(1.0, -np.arange(1, depth + 1)))])
     if np.any(np.diff(gaps) >= 0):
         raise ValueError(f"band boundaries collapsed at depth {depth}")
@@ -188,7 +186,6 @@ def l1_divergence_demo(
     """
     if not target > 0:
         raise ValueError("divergence target must be positive")
-    sigma.require_valid()
     mag = dist.abs()
     if levels is None:
         schedule = _doubling_levels(mag.max_value)
@@ -233,6 +230,5 @@ def step_density_approx(
     """
     if not eps > 0:
         raise ValueError("approximation tolerance must be positive")
-    sigma.require_valid()
     residual = StepQuantile(np.zeros(1), np.ones(1))  # Y - s(U) vanishes pointwise
     return dist, float(sigma_norm(sigma, residual))

@@ -1,4 +1,4 @@
-"""Mixture representations: discrete Kusuoka measures and spectrum sets.
+"""Mixture representations: discrete Kusuoka measures and sets of spectra.
 
 A step spectrum and a discrete measure on AVaR levels carry the same
 information: the measure collects sigma's value at 0 as an atom at level 0
@@ -6,13 +6,17 @@ plus one atom of weight (1 - s) * jump at every jump point s, and the map
 back accumulates w / (1 - a) per atom.  Both directions are exact on step
 data, and the mixture identity sum w_i * AVaR_{a_i}(Y) = risk(Y) holds to
 floating-point error.
+
+A set of spectra, the sup-generator of ``sup_risk`` and ``set_norm``, is any
+nonempty iterable of them: every spectrum is valid by construction, so a set
+needs no type of its own.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -42,11 +46,12 @@ class KusuokaMeasure:
         w = np.array(self.weights, dtype=float)
         if lv.ndim != 1 or w.ndim != 1 or lv.size != w.size or lv.size == 0:
             raise ValueError("levels and weights must be equal-length, nonempty 1-d arrays")
-        if np.any((lv < 0) | (lv > 1)):
+        # positive conditions, which a NaN fails
+        if not ((lv >= 0) & (lv <= 1)).all():
             raise ValueError("levels must lie in [0, 1]")
-        if np.any(np.diff(lv) <= 0):
+        if not (np.diff(lv) > 0).all():
             raise ValueError("levels must be strictly increasing")
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
+        if not ((w > 0) & (w < np.inf)).all():
             raise ValueError("weights must be strictly positive and finite")
         total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_SUM_ATOL:
@@ -76,7 +81,6 @@ def mu_from_sigma(sigma: Spectrum) -> KusuokaMeasure:
     sigma's value at 0 becomes an atom at level 0; each upward jump of size
     d at breakpoint s becomes an atom of weight (1 - s) * d.
     """
-    sigma.require_valid()
     if not isinstance(sigma, StepSpectrum):
         raise TypeError(
             "mixing measures are exact for step spectra only; apply step_approx first"
@@ -130,34 +134,9 @@ def mixture_risk(mu: KusuokaMeasure, dist: StepQuantile) -> float:
     return float(np.dot(mu.weights[below], tails) + top)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumSet:
-    """Nonempty collection of valid spectra, taken as a sup-generator."""
-
-    members: tuple[Spectrum, ...]
-
-    def __init__(self, members: Iterable[Spectrum]):
-        mem = tuple(members)
-        if not mem:
-            raise ValueError("a spectrum set must be nonempty")
-        for m in mem:
-            m.require_valid()
-        object.__setattr__(self, "members", mem)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def _member_list(spectra) -> Sequence[Spectrum]:
-    return spectra.members if isinstance(spectra, SpectrumSet) else tuple(spectra)
-
-
-def sup_risk(spectra, dist: StepQuantile) -> tuple[float, int]:
+def sup_risk(spectra: Iterable[Spectrum], dist: StepQuantile) -> tuple[float, int]:
     """Supremum of member risks; returns (value, index of the first argmax)."""
-    members = _member_list(spectra)
+    members = tuple(spectra)
     if not members:
         raise ValueError("a spectrum set must be nonempty")
     best, best_idx = -np.inf, 0
@@ -168,9 +147,9 @@ def sup_risk(spectra, dist: StepQuantile) -> tuple[float, int]:
     return float(best), best_idx
 
 
-def set_norm(spectra, dist: StepQuantile) -> float:
+def set_norm(spectra: Iterable[Spectrum], dist: StepQuantile) -> float:
     """Supremum of the member norms over the set."""
-    members = _member_list(spectra)
+    members = tuple(spectra)
     if not members:
         raise ValueError("a spectrum set must be nonempty")
     return float(max(sigma_norm(sig, dist) for sig in members))

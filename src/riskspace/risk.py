@@ -8,14 +8,13 @@ coordinates.  No quadrature is involved for any spectrum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .spectrum import Spectrum, _suffix_sums
-from .stepdist import PairedSample, StepQuantile, comonotone_pair
+from .stepdist import StepQuantile, comonotone_pair
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,6 @@ class SemideviationResult(NamedTuple):
 
 def spectral_risk(sigma: Spectrum, dist: StepQuantile) -> float:
     """Quantile-integral form: integral of sigma(u) * quantile(u) du."""
-    sigma.require_valid()
     svals = sigma.tail_from_gap(dist.tail_masses)
     with np.errstate(over="ignore"):
         return float(np.dot(dist.values, svals[:-1] - svals[1:]))
@@ -48,7 +46,6 @@ def spectral_risk_via_cdf(sigma: Spectrum, dist: StepQuantile) -> float:
     runs on halved values, exact away from subnormals, so value gaps and
     partial sums up to twice the largest double stay finite.
     """
-    sigma.require_valid()
     h = dist.values * 0.5
     svals = sigma.tail_from_gap(dist.tail_masses[:-1])
     return 2.0 * float(h[0] * svals[0] + np.dot(np.diff(h), svals[1:]))
@@ -82,7 +79,6 @@ def coupling_value(sigma: Spectrum, dist: StepQuantile, order: np.ndarray) -> fl
     Any permutation of the segments yields a valid coupling of the two
     marginals; the identity (sorted) order is the comonotone one.
     """
-    sigma.require_valid()
     order = np.asarray(order)
     svals = sigma.tail_from_gap(_suffix_sums(dist.masses[order]))
     return float(np.dot(dist.values[order], svals[:-1] - svals[1:]))

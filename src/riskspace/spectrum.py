@@ -55,12 +55,13 @@ class Violation:
 
 
 def _violations_of(at, vals, what: str, drop_tol: float, mass: float) -> list[Violation]:
-    """First negative value, first drop beyond ``drop_tol``, and a mass off 1."""
+    """First value not >= 0 (NaN included), first drop beyond ``drop_tol``,
+    and a mass off 1."""
     out: list[Violation] = []
-    neg = np.nonzero(vals < 0)[0]
+    neg = np.nonzero(~(vals >= 0))[0]
     if neg.size:
         i = int(neg[0])
-        out.append(Violation("nonnegativity", float(at[i]), f"{what} {vals[i]:.6g} < 0"))
+        out.append(Violation("nonnegativity", float(at[i]), f"{what} {vals[i]:.6g} is not >= 0"))
     drops = np.nonzero(np.diff(vals) < -drop_tol)[0]
     if drops.size:
         i = int(drops[0])
@@ -78,7 +79,9 @@ def _violations_of(at, vals, what: str, drop_tol: float, mass: float) -> list[Vi
 
 def _scalar_or_array(method):
     """The array contract: ``method`` sees its first argument as a float
-    array of at least one dimension, and returns a float for a scalar."""
+    array of at least one dimension, and returns a float for a scalar and
+    otherwise an array that shares no memory with the argument (an identity
+    closed form returns its input, so that result is copied)."""
 
     @functools.wraps(method)
     def wrapper(self, x, *args, **kwargs):
@@ -86,7 +89,9 @@ def _scalar_or_array(method):
         out = method(self, np.atleast_1d(arr), *args, **kwargs)
         if type(out) is not np.ndarray or out.dtype != np.float64:
             out = np.asarray(out, dtype=float)
-        return float(out[0]) if arr.ndim == 0 else out
+        if arr.ndim == 0:
+            return float(out[0])
+        return out.copy() if np.may_share_memory(out, arr) else out
 
     return wrapper
 
@@ -182,10 +187,16 @@ class _GapSteps:
 class Spectrum:
     """Common interface for spectral densities.
 
+    Every instance is valid by construction, so no kernel checks its
+    spectrum: the ``StepSpectrum`` and ``GeneralSpectrum`` constructors call
+    ``require_valid`` once, which raises ``InvalidSpectrumError`` unless the
+    density is nonnegative, nondecreasing and of unit mass, and
+    ``PowerSqrtSpectrum`` is valid by definition.  Subclasses override
+    ``_check`` only; the generic one reads the density on ``FALLBACK_GAPS``.
+
     Subclasses provide ``density_from_gap``, ``tail_from_gap`` and the
     power-integral helpers, from which ``density`` and ``tail`` derive the
-    level forms; the generic mesh-based ``validate`` covers callables for
-    which no exact check exists.  Code that needs a step's exact structure tests
+    level forms.  Code that needs a step's exact structure tests
     ``isinstance(sigma, StepSpectrum)``.
 
     Array contract: ``density``, ``tail`` and every gap method
@@ -194,9 +205,6 @@ class Spectrum:
     return a float or a float64 array of the same shape; the implementations
     state it with ``@_scalar_or_array``.
     """
-
-    #: result of ``validate``, computed on first use
-    _violations: tuple[Violation, ...] | None = None
 
     # -- evaluation ------------------------------------------------------
 
@@ -245,22 +253,13 @@ class Spectrum:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self) -> list[Violation]:
-        """Check nonnegativity, monotonicity and unit mass.
-
-        Returns an empty list iff the spectrum is a valid spectral density.
-        Callable spectra are checked on a geometric mesh refining toward 1.
-        """
-        if self._violations is None:
-            object.__setattr__(self, "_violations", tuple(self._check()))
-        return list(self._violations)
-
     def _check(self) -> list[Violation]:
         dens = self.density_from_gap(FALLBACK_GAPS)
         return _violations_of(1.0 - FALLBACK_GAPS, dens, "density", 1e-12, self.tail(0.0))
 
     def require_valid(self) -> None:
-        violations = self.validate()
+        """Raise ``InvalidSpectrumError`` listing every violated property."""
+        violations = self._check()
         if violations:
             raise InvalidSpectrumError(violations)
 
@@ -275,7 +274,7 @@ class StepSpectrum(Spectrum):
     ``breakpoints`` has one more entry than ``values``, starts at 0 and ends
     at 1, strictly increasing.  Inputs whose integral is within 1e-10 of 1
     are rescaled to unit mass and the factor recorded in ``rescale_factor``;
-    anything further off is left untouched for ``validate`` to flag.
+    anything further off, like a negative or decreasing value, is rejected.
     The read-only ``kink_gaps`` lists the gaps ``1 - breakpoints`` in
     ascending order, the nodes of ``S(1 - g)``.
     """
@@ -292,7 +291,7 @@ class StepSpectrum(Spectrum):
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
         widths = np.diff(bp)
-        if (widths <= 0).any():
+        if not (widths > 0).all():
             raise ValueError("breakpoints must be strictly increasing")
         if not np.isfinite(vals).all():
             raise ValueError("step values must be finite")
@@ -313,6 +312,7 @@ class StepSpectrum(Spectrum):
         gap_nodes.setflags(write=False)
         object.__setattr__(self, "_steps", _GapSteps(gap_nodes, vals))
         object.__setattr__(self, "kink_gaps", gap_nodes[::-1])
+        self.require_valid()
 
     def __repr__(self) -> str:  # keep ndarray fields readable
         return (
@@ -463,13 +463,18 @@ class GeneralSpectrum(Spectrum):
     ``lq_norm`` need it for every q other than 1.  The optional
     ``density_sup`` is sigma(1-): ``lq_norm(inf)`` returns it, and it gives
     ``comparability_constant`` its ``a -> 1`` limit against a general target;
-    the dual scans need none of it.  No quadrature is involved.
+    the dual scans need none of it.  No quadrature is involved.  The
+    constructor reads the density on ``FALLBACK_GAPS`` and rejects a
+    spectrum found negative, decreasing or off unit mass there.
     """
 
     gap_density_fn: Callable[[np.ndarray], np.ndarray]
     gap_tail_fn: Callable[[np.ndarray], np.ndarray]
     tail_power_fn: Callable[[np.ndarray, float], np.ndarray] | None = None
     density_sup: float | None = None
+
+    def __post_init__(self):
+        self.require_valid()
 
     @_scalar_or_array
     def density_from_gap(self, g):
@@ -533,7 +538,6 @@ def step_approx(sigma: Spectrum, n_cells: int) -> tuple[StepSpectrum, float]:
     """
     if n_cells < 1:
         raise ValueError("need at least one mesh cell")
-    sigma.require_valid()
     if isinstance(sigma, StepSpectrum):
         return sigma, 1.0
     if n_cells > 50:

@@ -311,7 +311,6 @@ def comonotone_pair(dist: StepQuantile, sigma: Spectrum) -> PairedSample:
     The z column carries the average density over each refined piece, so the
     weighted pairing equals the quantile integral of the risk functional.
     """
-    sigma.require_valid()
     y, z, w, _ = _comonotone_rows(dist.values, dist.masses, sigma)
     return PairedSample(y, z, w)
 

@@ -198,6 +198,15 @@ class TestKusuoka:
         assert code == 0
         assert payload["values"] == [0.0, 2.0]
 
+    def test_nan_level_rejected(self, files, tmp_path, capsys):
+        # json reads NaN; the measure must reject it, not count it as level 1
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({"atoms": [[0.0, 0.5], [float("nan"), 0.5]]}))
+        code, payload, err = run(capsys, "kusuoka", "to-spectrum", "--measure", bad)
+        assert code == 2
+        assert payload is None
+        assert "levels must lie in [0, 1]" in err
+
     def test_missing_argument(self, files, capsys):
         code, payload, err = run(capsys, "kusuoka", "to-measure")
         assert code == 2
@@ -350,6 +359,49 @@ class TestOutputShape:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("riskspace ")
+
+
+# invalid spectrum files, each with the text its error must contain
+_BAD_SPECTRA = {
+    "decreasing": (
+        {"kind": "step", "breakpoints": [0.0, 0.5, 1.0], "values": [1.5, 0.5]},
+        "monotonicity at u=0.5",
+    ),
+    "nan-breakpoint": (
+        {"kind": "step", "breakpoints": [0.0, float("nan"), 1.0], "values": [1.0, 1.0]},
+        "breakpoints must be strictly increasing",
+    ),
+}
+
+# every command that reads a spectrum, with paths relative to the files
+# fixture; bad/bad.json is the invalid spectrum
+_SPECTRUM_READERS = {
+    "eval": ["eval", "--spectrum", "bad/bad.json", "--samples", "four.csv"],
+    "norm": ["norm", "--spectrum", "bad/bad.json", "--samples", "four.csv"],
+    "dual-norm": ["dual-norm", "--spectrum", "bad/bad.json", "--samples", "four.csv"],
+    "dominate": ["dominate", "--spectrum", "bad/bad.json", "--samples", "four.csv", "--eta", "1"],
+    "to-measure": ["kusuoka", "to-measure", "--spectrum", "bad/bad.json"],
+    "embed-from": ["embed", "--from", "bad/bad.json", "--to", "avar05.json"],
+    "embed-to": ["embed", "--from", "avar05.json", "--to", "bad/bad.json"],
+    "embed-set-from": ["embed", "--set-from", "bad", "--set-to", "setB"],
+    "escape-lp": ["escape", "--spectrum", "bad/bad.json", "--mode", "lp", "--depth", "5"],
+    "escape-linf": ["escape", "--spectrum", "bad/bad.json", "--mode", "linf", "--depth", "5"],
+    "diverge": ["diverge", "--spectrum", "bad/bad.json"],
+    "approx": ["approx", "--spectrum", "bad/bad.json", "--samples", "four.csv", "--epsilon", "0.1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SPECTRUM_READERS))
+@pytest.mark.parametrize("bad", sorted(_BAD_SPECTRA))
+def test_invalid_spectrum_file_exits_2(files, capsys, monkeypatch, command, bad):
+    doc, message = _BAD_SPECTRA[bad]
+    (files / "bad").mkdir()
+    (files / "bad" / "bad.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(files)
+    code, payload, err = run(capsys, *_SPECTRUM_READERS[command])
+    assert code == 2
+    assert payload is None
+    assert message in err
 
 
 class TestFailureExits:

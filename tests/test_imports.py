@@ -1,10 +1,11 @@
-"""scipy stays off the start-up path.
+"""scipy stays off the start-up path, and the import surface holds.
 
 Only the L^p escape (``zeta``, ``digamma``) and the two escape invariants of
 the suite need scipy, and each imports it on first call; a
 ``GeneralSpectrum``'s norms and power integrals are its declared closed forms
 and import none.  The test session itself imports scipy, so every check runs
-in a fresh interpreter.
+in a fresh interpreter.  The last two tests check that every public name
+resolves and that the benchmark tracer still finds the methods it wraps.
 """
 
 import json
@@ -59,6 +60,27 @@ before = scipy_count()
 with contextlib.redirect_stdout(io.StringIO()):
     result = eval(sys.argv[1])
 print(json.dumps({"before": before, "after": scipy_count(), "result": result}))
+"""
+
+
+# installs the benchmark tracer's wrappers, then builds and evaluates
+# spectra under them; reports the layers that recorded a span
+_TRACER_PROBE = """
+import importlib.util, json, sys
+
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+recorder = tracer.Tracer()
+tracer.install(recorder)
+from riskspace import AvarSpectrum, InvalidSpectrumError, StepSpectrum
+try:
+    StepSpectrum([0.0, 0.5, 1.0], [1.5, 0.5])
+    rejected = False
+except InvalidSpectrumError:
+    rejected = True
+AvarSpectrum(0.5).tail_from_gap(0.25)
+print(json.dumps({"rejected": rejected, "layers": sorted({s[1] for s in recorder.spans})}))
 """
 
 
@@ -139,3 +161,16 @@ def test_general_spectrum_calls_load_no_scipy(tmp_path, call):
     assert report["before"] == 0
     assert report["after"] == 0
     assert report["result"] is True
+
+
+def test_public_names_resolve():
+    assert [name for name in riskspace.__all__ if not hasattr(riskspace, name)] == []
+
+
+def test_benchmark_tracer_patch_points_exist(tmp_path):
+    # the tracer wraps Spectrum.require_valid and each spectrum class's own
+    # tail_from_gap by name; moving or renaming one breaks its install()
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    report = _child(tmp_path, _TRACER_PROBE, str(tracer))
+    assert report["rejected"] is True
+    assert {"spectrum.require_valid", "spectrum.tail_from_gap"} <= set(report["layers"])

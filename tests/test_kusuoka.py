@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from riskspace.kusuoka import (
     KusuokaMeasure,
-    SpectrumSet,
     load_measure,
     measure_from_dict,
     measure_to_dict,
@@ -187,24 +186,45 @@ class TestMeasureValidation:
         with pytest.raises(ValueError):
             KusuokaMeasure(np.array([1.2]), np.array([1.0]))
 
+    @pytest.mark.parametrize("levels", [[0.0, np.nan], [np.nan, 0.5]])
+    def test_nan_levels_rejected(self, levels):
+        # NaN fails every comparison, so only a positive test catches it;
+        # mixture_risk would count a NaN atom as the esssup atom
+        with pytest.raises(ValueError, match="lie in"):
+            KusuokaMeasure(np.array(levels), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="lie in"):
+            measure_from_dict({"atoms": [[a, 0.5] for a in levels]})
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KusuokaMeasure(np.array([0.0, 0.5]), np.array([0.5, np.nan]))
+
 
 class TestSpectrumSet:
+    # a set of spectra is any nonempty iterable; its members are valid by
+    # construction
     def test_must_be_nonempty(self):
-        with pytest.raises(ValueError):
-            SpectrumSet([])
+        dist = StepQuantile.from_samples([1.0, 2.0])
+        for empty in ([], (), iter([])):
+            with pytest.raises(ValueError, match="nonempty"):
+                sup_risk(empty, dist)
+        with pytest.raises(ValueError, match="nonempty"):
+            set_norm([], dist)
 
     def test_sup_risk_picks_argmax(self):
         dist = StepQuantile.from_samples([1.0, 2.0, 3.0, 4.0])
-        members = SpectrumSet([AvarSpectrum(0.0), AvarSpectrum(0.9)])
+        members = (AvarSpectrum(0.0), AvarSpectrum(0.9))
         value, idx = sup_risk(members, dist)
         assert idx == 1
         assert value == avar(0.9, dist)
+        assert sup_risk(iter(members), dist) == (value, idx)
 
     def test_set_norm_is_max_member_norm(self):
         dist = StepQuantile.from_samples([-2.0, 1.0, 5.0])
         members = [AvarSpectrum(0.25), AvarSpectrum(0.75), PowerSqrtSpectrum()]
         expected = max(sigma_norm(s, dist) for s in members)
-        assert set_norm(SpectrumSet(members), dist) == expected
+        assert set_norm(members, dist) == expected
+        assert set_norm((s for s in members), dist) == expected
 
     def test_plain_iterables_accepted(self):
         dist = StepQuantile.from_samples([3.0])

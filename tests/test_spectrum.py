@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskspace.spectrum import (
+    NORMALIZATION_ATOL,
     AvarSpectrum,
     GeneralSpectrum,
+    InvalidSpectrumError,
     PowerSqrtSpectrum,
     Spectrum,
     StepSpectrum,
@@ -30,6 +32,20 @@ def random_step(rng, max_cells=6):
     raw = np.cumsum(rng.uniform(0.1, 2.0, edges.size - 1))
     raw /= np.dot(raw, np.diff(edges))
     return StepSpectrum(edges, raw)
+
+
+@st.composite
+def _step_inputs(draw):
+    """Step data whose values may be negative or falling, and whose mass is
+    exactly 1, within the rescaling tolerance of it, or clearly off."""
+    cuts = draw(st.lists(st.integers(1, 15), max_size=5, unique=True))
+    bp = np.array([0.0, *sorted(c / 16.0 for c in cuts), 1.0])
+    vals = np.array(draw(st.lists(st.integers(-3, 6), min_size=bp.size - 1, max_size=bp.size - 1)),
+                    dtype=float)
+    mass = float(np.dot(vals, np.diff(bp)))
+    if mass > 0:
+        vals *= draw(st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-9, 0.5, 2.0])) / mass
+    return bp, vals
 
 
 class TestAvar:
@@ -158,14 +174,27 @@ class TestStepSpectrum:
         assert s.lq_norm(1100.0) == pytest.approx(2.0 * 0.5 ** (1 / 1100), rel=1e-14)
 
     def test_validate_flags_decreasing(self):
-        s = StepSpectrum([0.0, 0.5, 1.0], [1.5, 0.5])
-        assert any("monoton" in v.prop or "monoton" in v.detail for v in s.validate())
-        with pytest.raises(ValueError):
-            s.require_valid()
+        # the constructor validates; the error is a ValueError with violations
+        with pytest.raises(ValueError) as caught:
+            StepSpectrum([0.0, 0.5, 1.0], [1.5, 0.5])
+        assert isinstance(caught.value, InvalidSpectrumError)
+        assert [v.prop for v in caught.value.violations] == ["monotonicity"]
+        assert caught.value.violations[0].at == 0.5
+        assert "falls from 1.5 to 0.5" in str(caught.value)
 
     def test_validate_flags_negative_and_mass(self):
-        assert StepSpectrum([0.0, 1.0], [-1.0]).validate()
-        assert StepSpectrum([0.0, 1.0], [0.5]).validate()
+        with pytest.raises(InvalidSpectrumError) as caught:
+            StepSpectrum([0.0, 1.0], [-1.0])
+        assert [v.prop for v in caught.value.violations] == ["nonnegativity", "normalization"]
+        with pytest.raises(InvalidSpectrumError) as caught:
+            StepSpectrum([0.0, 1.0], [0.5])
+        assert [v.prop for v in caught.value.violations] == ["normalization"]
+
+    def test_nan_breakpoint_is_not_increasing(self):
+        # NaN fails every comparison, so only a positive test catches it
+        for bp in ([0.0, math.nan, 1.0], [0.0, 0.5, math.nan, 1.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                StepSpectrum(bp, np.ones(len(bp) - 1))
 
     def test_invert_tail_leftmost_on_flat_spot(self):
         # density 0 on [0, 0.5): every t in (0, 0.5] has the same forward
@@ -179,7 +208,25 @@ class TestStepSpectrum:
     @settings(max_examples=40, deadline=None)
     def test_random_steps_validate_clean(self, seed):
         s = random_step(np.random.default_rng(seed))
-        assert s.validate() == []
+        assert s.require_valid() is None
+
+    @given(_step_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_constructs_exactly_when_valid(self, case):
+        bp, vals = case
+        expected = []
+        if np.any(vals < 0):
+            expected.append("nonnegativity")
+        if np.any(vals[1:] < vals[:-1]):
+            expected.append("monotonicity")
+        if not abs(math.fsum(vals * np.diff(bp)) - 1.0) <= NORMALIZATION_ATOL:
+            expected.append("normalization")
+        if not expected:
+            assert StepSpectrum(bp, vals).tail(0.0) == pytest.approx(1.0, abs=1e-15)
+            return
+        with pytest.raises(InvalidSpectrumError) as caught:
+            StepSpectrum(bp, vals)
+        assert [v.prop for v in caught.value.violations] == expected
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -342,6 +389,17 @@ class TestArrayContract:
         assert isinstance(sigma.tail_power_integral(0.25, 1.5), float)
         assert sigma.tail_power_integral(gaps, 1.5).dtype == np.float64
 
+    def test_result_never_aliases_the_argument(self):
+        # an identity closed form hands back its argument; writing into the
+        # result must leave the caller's array alone
+        ident = GeneralSpectrum(gap_density_fn=np.ones_like, gap_tail_fn=lambda g: g)
+        gaps = np.array([0.25, 0.5])
+        out = ident.tail_from_gap(gaps)
+        assert out is not gaps
+        out[0] = 9.0
+        assert gaps.tolist() == [0.25, 0.5]
+        assert ident.tail_from_gap(gaps[::-1]).tolist() == [0.5, 0.25]
+
 
 class TestKinkScan:
     def test_kink_gaps_per_family(self):
@@ -374,7 +432,22 @@ class TestGeneralSpectrum:
         assert _bits(gen.density_from_gap(gs)) == _bits(ref.density_from_gap(gs))
         levels = np.array([0.0, 0.5, 0.99, 1.0 - 1e-9])
         assert _bits(gen.density(levels)) == _bits(ref.density(levels))
-        assert gen.validate() == []
+        assert gen.require_valid() is None
+
+    def test_constructor_rejects_invalid_closed_forms(self):
+        # sigma(u) = 2 (1 - u) falls; a constant 1/2 has mass 1/2
+        with pytest.raises(InvalidSpectrumError) as caught:
+            GeneralSpectrum(gap_density_fn=lambda g: 2.0 * g, gap_tail_fn=lambda g: g * g)
+        assert [v.prop for v in caught.value.violations] == ["monotonicity"]
+        with pytest.raises(InvalidSpectrumError) as caught:
+            GeneralSpectrum(gap_density_fn=lambda g: np.full_like(g, 0.5),
+                            gap_tail_fn=lambda g: 0.5 * g)
+        assert [v.prop for v in caught.value.violations] == ["normalization"]
+        # NaN fails every comparison; the check tests for values >= 0
+        with pytest.raises(InvalidSpectrumError, match="nan is not >= 0") as caught:
+            GeneralSpectrum(gap_density_fn=lambda g: np.where(g < 0.5, np.nan, 1.0),
+                            gap_tail_fn=lambda g: g)
+        assert [v.prop for v in caught.value.violations] == ["nonnegativity"]
 
     def test_bisection_inversion(self):
         gen = self._power()
@@ -431,7 +504,7 @@ class TestStepApprox:
     def test_refinement_validates_and_tightens(self):
         coarse, f_coarse = step_approx(PowerSqrtSpectrum(), 4)
         fine, f_fine = step_approx(PowerSqrtSpectrum(), 20)
-        assert coarse.validate() == [] and fine.validate() == []
+        assert coarse.require_valid() is None and fine.require_valid() is None
         # a finer under-approximation wastes less mass
         assert 1.0 <= f_fine <= f_coarse
 
