@@ -7,7 +7,9 @@ The sup-norm escape stacks constant bands of sigma-mass 2**-n, bounded in
 risk by sum n 2**(1-n) = 4 yet unbounded in value.  The L1 divergence
 truncates a heavy-tailed quantile at growing levels.  Band boundaries land
 within 1e-38 of 1 for deep truncations, so every boundary is carried as a
-gap (tail mass), never as a cumulative position.
+gap (tail mass), never as a cumulative position.  The escapes are built on
+whole arrays: one inversion places every band boundary and one pass refines
+every band.
 
 Truncations place the unreached mass at value 0; canonical sorting then
 moves that mass to the bottom of the quantile, which only lowers norms, so
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,24 +64,23 @@ class DivergenceReport:
     vacuous: bool
 
 
-def _band_edges(sigma: Spectrum, g_hi: float, g_lo: float, submesh: int) -> np.ndarray:
-    """Descending gap edges refining one band (g_lo, g_hi]."""
-    if isinstance(sigma, StepSpectrum):
-        nodes = sigma.kink_gaps
-        inner = nodes[(nodes > g_lo) & (nodes < g_hi)][::-1]
-        return np.concatenate([[g_hi], inner, [g_lo]])
-    return np.geomspace(g_hi, g_lo, submesh + 1)
+#: geometric pieces per band on a spectrum without step nodes
+BAND_PIECES = 8
 
 
-def lp_escape(sigma: Spectrum, q: float, depth: int, submesh: int = 8) -> LpEscape:
+def lp_escape(sigma: Spectrum, q: float, depth: int) -> LpEscape:
     """Truncation of the variable whose p-norm diverges inside the sigma ball.
 
     Band n carries the value ``n * sigma**(q-1)`` on the gap interval whose
     sigma**q mass is ``||sigma||_q**q * n**-(p+1) / zeta(p+1)``, with p the
-    conjugate exponent.  The returned ``predicted_risk`` is the band series
-    (the risk of the truncated function before rearrangement, approaching
-    ``||sigma||_q**q zeta(p)/zeta(p+1)`` from below); ``lp_partial`` is the
-    exact p-th power of the p-norm, a harmonic partial sum.
+    conjugate exponent.  Each band is cut at the step nodes inside it for a
+    ``StepSpectrum`` and into ``BAND_PIECES`` geometric pieces otherwise,
+    all bands in one pass, and each piece reads the density at its shallow
+    edge (its larger gap).  The returned ``predicted_risk`` is the band
+    series (the risk of the truncated function before rearrangement,
+    approaching ``||sigma||_q**q zeta(p)/zeta(p+1)`` from below);
+    ``lp_partial`` is the exact p-th power of the p-norm, a harmonic partial
+    sum.
     """
     from scipy import special
 
@@ -87,8 +88,6 @@ def lp_escape(sigma: Spectrum, q: float, depth: int, submesh: int = 8) -> LpEsca
         raise ValueError("escape construction needs an exponent q in (1, inf)")
     if depth < 1:
         raise ValueError("truncation depth must be at least 1")
-    if submesh < 1:
-        raise ValueError("submesh must be at least 1")
     total = float(sigma.tail_power_integral(1.0, q))
     if not math.isfinite(total) or total <= 0:
         raise ValueError(f"sigma**{q:g} is not integrable; the construction needs ||sigma||_q < inf")
@@ -97,22 +96,27 @@ def lp_escape(sigma: Spectrum, q: float, depth: int, submesh: int = 8) -> LpEsca
     # tail targets: integral of sigma**q over the top g_n of mass must equal
     # total * zeta(p+1, n+1)/zeta(p+1); the Hurwitz form avoids the
     # cancellation of forward partial sums near their limit.
-    n_idx = np.arange(1, depth + 1)
-    tail_targets = total * special.zeta(p + 1.0, n_idx + 1.0) / zp1
+    tail_targets = total * special.zeta(p + 1.0, np.arange(2.0, depth + 2.0)) / zp1
     gaps = np.concatenate([[1.0], sigma.invert_tail_power(tail_targets, q)])
     if np.any(np.diff(gaps) >= 0):
         raise ValueError(
             f"band boundaries collapsed at depth {depth}; the sigma**{q:g} tail "
             "is too thin to resolve in double precision"
         )
-    values = [np.array([0.0])]
-    masses = [np.array([gaps[depth]])]
-    for n in n_idx:
-        edges = _band_edges(sigma, gaps[n - 1], gaps[n], submesh)
-        dens = sigma.density_from_gap(edges[:-1])
-        values.append(float(n) * dens ** (q - 1.0))
-        masses.append(edges[:-1] - edges[1:])
-    dist = StepQuantile.from_segments(np.concatenate(values), np.concatenate(masses))
+    # descending piece edges from 1 down to g_depth, every band gap among them
+    if isinstance(sigma, StepSpectrum):
+        nodes = sigma.kink_gaps
+        edges = np.union1d(gaps, nodes[(nodes > gaps[-1]) & (nodes < 1.0)])[::-1]
+    else:
+        grid = np.geomspace(gaps[:-1], gaps[1:], BAND_PIECES + 1, axis=1)
+        edges = np.append(grid[:, :-1], gaps[-1])
+    upper = edges[:-1]
+    # band n holds the pieces with g_n < upper <= g_(n-1)
+    band = np.searchsorted(-gaps, -upper, side="right")
+    values = band * sigma.density_from_gap(upper) ** (q - 1.0)
+    dist = StepQuantile.from_segments(
+        np.append(0.0, values), np.append(gaps[-1], upper - edges[1:])
+    )
     partial_p = float(special.zeta(p) - special.zeta(p, depth + 1.0))
     predicted_risk = total / zp1 * partial_p
     harmonic = float(special.digamma(depth + 1.0) + np.euler_gamma)
@@ -171,49 +175,28 @@ def heavy_tail_quantile(depth: int) -> StepQuantile:
     return StepQuantile(values, masses)
 
 
-def l1_divergence_demo(
-    dist: StepQuantile,
-    sigma: Spectrum,
-    target: float,
-    levels: Iterable[float] | None = None,
-) -> DivergenceReport:
+def l1_divergence_demo(dist: StepQuantile, sigma: Spectrum, target: float) -> DivergenceReport:
     """Truncate |Y| at growing levels until the L1 norm passes ``target``.
 
-    Levels double from 1 by default.  Every row satisfies the Chebyshev
-    bound ||Y_n||_sigma >= ||Y_n||_1; a bounded input saturates at its
-    maximum, and if the target is still unmet the demo is vacuous (the
-    truncations converged; nothing diverges).
+    Levels double from 1.  Every row satisfies the Chebyshev bound
+    ||Y_n||_sigma >= ||Y_n||_1; a bounded input saturates at its maximum,
+    and if the target is still unmet the demo is vacuous (the truncations
+    converged; nothing diverges).
     """
     if not target > 0:
         raise ValueError("divergence target must be positive")
     mag = dist.abs()
-    if levels is None:
-        schedule = _doubling_levels(mag.max_value)
-    else:
-        schedule = tuple(float(x) for x in levels)
-        if not schedule or any(x <= 0 for x in schedule) or any(np.diff(schedule) <= 0):
-            raise ValueError("levels must be positive and strictly increasing")
     rows = []
-    exceeded_at = None
-    vacuous = False
-    for level in schedule:
+    level = 1.0
+    while True:
         clipped = mag.clip_upper(level)
         l1 = clipped.lp_norm(1.0)
         rows.append(DivergenceRow(level, l1, sigma_norm(sigma, clipped)))
         if l1 > target:
-            exceeded_at = level
-            break
+            return DivergenceReport(tuple(rows), float(target), level, False)
         if level >= mag.max_value:
-            vacuous = True
-            break
-    return DivergenceReport(tuple(rows), float(target), exceeded_at, vacuous)
-
-
-def _doubling_levels(stop: float) -> Sequence[float]:
-    out = [1.0]
-    while out[-1] < stop:
-        out.append(out[-1] * 2.0)
-    return out
+            return DivergenceReport(tuple(rows), float(target), None, True)
+        level *= 2.0
 
 
 def step_density_approx(

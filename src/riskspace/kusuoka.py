@@ -78,25 +78,18 @@ class KusuokaMeasure:
 def mu_from_sigma(sigma: Spectrum) -> KusuokaMeasure:
     """Mixing measure of a step spectrum: d(mu)(s) = (1 - s) d(sigma)(s).
 
-    sigma's value at 0 becomes an atom at level 0; each upward jump of size
-    d at breakpoint s becomes an atom of weight (1 - s) * d.
+    sigma's value at 0, read as a jump from 0, becomes an atom at level 0;
+    each upward jump of size d at breakpoint s becomes an atom of weight
+    (1 - s) * d.
     """
     if not isinstance(sigma, StepSpectrum):
         raise TypeError(
             "mixing measures are exact for step spectra only; apply step_approx first"
         )
-    levels: list[float] = []
-    weights: list[float] = []
-    if sigma.values[0] > 0:
-        levels.append(0.0)
-        weights.append(float(sigma.values[0]))
-    jump_points = sigma.breakpoints[1:-1]
-    jumps = np.diff(sigma.values)
-    for s, d in zip(jump_points, jumps):
-        if d > 0:
-            levels.append(float(s))
-            weights.append(float((1.0 - s) * d))
-    return KusuokaMeasure(np.array(levels), np.array(weights))
+    jumps = np.diff(sigma.values, prepend=0.0)
+    up = jumps > 0
+    levels = sigma.breakpoints[:-1][up]
+    return KusuokaMeasure(levels, (1.0 - levels) * jumps[up])
 
 
 def sigma_from_mu(mu: KusuokaMeasure) -> StepSpectrum:

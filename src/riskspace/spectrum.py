@@ -401,11 +401,6 @@ class PowerSqrtSpectrum(Spectrum):
     density_sup = math.inf
 
     @_scalar_or_array
-    def density(self, u):
-        with np.errstate(divide="ignore"):
-            return 0.5 / np.sqrt(1.0 - u)
-
-    @_scalar_or_array
     def density_from_gap(self, g):
         with np.errstate(divide="ignore"):
             return 0.5 / np.sqrt(g)
@@ -434,9 +429,9 @@ class PowerSqrtSpectrum(Spectrum):
             raise ValueError("sigma**q is not integrable for q >= 2")
         _check_targets(target, float(self.tail_power_integral(1.0, q)))
         expo = 1.0 - q / 2.0
-        # Python's pow per element: numpy's vectorised power may differ from
-        # it in the last bit, depending on the array's length; the total can
-        # round to a gap just above 1, so cap at the domain's end
+        # Python's pow per element: numpy's power differs from it in the last
+        # bit on some inputs, and the escape bands keep Python's bits; the
+        # total can round to a gap just above 1, so cap at the domain's end
         out = [min((t * expo * 2.0**q) ** (1.0 / expo), 1.0) for t in target.ravel().tolist()]
         return np.reshape(out, target.shape)
 
@@ -503,25 +498,22 @@ class GeneralSpectrum(Spectrum):
 
     @_scalar_or_array
     def invert_tail_power(self, target, q: float):
+        # bisection on the bit patterns of the gaps, which order the
+        # nonnegative doubles: the pattern range (lo, hi] starts below +0.0
+        # and ends at 1.0, is narrower than 2**62, and after 62 halvings hi
+        # is the smallest gap whose integral reaches the target, subnormals
+        # included.  The count is fixed, so no target depends on the batch.
         total = float(self.tail_power_integral(1.0, q))
         _check_targets(target, total)
-        out = [self._bisect(t, q, total) for t in target.ravel().tolist()]
-        return np.reshape(out, target.shape)
-
-    def _bisect(self, target: float, q: float, total: float) -> float:
-        # bisection on log-gap: the plain-t formulation cannot represent
-        # boundaries within one ulp of 1, the log-gap one can.
-        if target == total:
-            return 1.0
-        lo, hi = math.log(1e-300), 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self.tail_power_integral(math.exp(mid), q)) < target:
-                lo = mid
-            else:
-                hi = mid
-        g = math.exp(hi)
-        if abs(float(self.tail_power_integral(g, q)) - target) > 1e-10:
+        lo = np.full(target.shape, -1, dtype=np.int64)
+        hi = np.full(target.shape, np.float64(1.0).view(np.int64))
+        for _ in range(62):
+            mid = (lo + hi) >> 1
+            reached = self.tail_power_integral(mid.view(np.float64), q) >= target
+            lo = np.where(reached, lo, mid)
+            hi = np.where(reached, mid, hi)
+        g = np.where(target == total, 1.0, hi.view(np.float64))
+        if np.any(abs(self.tail_power_integral(g, q) - target) > 1e-10):
             raise ValueError("root finding failed to reach the 1e-10 residual target")
         return g
 

@@ -135,27 +135,12 @@ class StepQuantile:
     # -- derived views ----------------------------------------------------
 
     @property
-    def breakpoints(self) -> np.ndarray:
-        """Cumulative positions 0 = u_0 < ... < u_m = 1 (display/bucketing).
-
-        Segments within one ulp of 1 collapse here; tail-critical arithmetic
-        must use ``tail_masses`` instead.
-        """
-        bp = np.concatenate([[0.0], self._cumulative])
-        bp[-1] = 1.0
-        return bp
-
-    @property
     def n_segments(self) -> int:
         return int(self.values.size)
 
     @property
     def max_value(self) -> float:
         return float(self.values[-1])
-
-    @property
-    def min_value(self) -> float:
-        return float(self.values[0])
 
     @property
     def mean(self) -> float:

@@ -432,7 +432,7 @@ def _sandwich(rng) -> float:
 def _escape_monotone(rng) -> float:
     sig = sampling.random_step_spectrum(rng)
     q = rng.uniform(1.2, 3.0)
-    escapes = [extremal.lp_escape(sig, q, n, submesh=2) for n in (1, 2, 4, 8)]
+    escapes = [extremal.lp_escape(sig, q, n) for n in (1, 2, 4, 8)]
     risks = [esc.predicted_risk for esc in escapes]
     limit = extremal.lp_escape_limit(sig, q)
     built = spectral_risk(sig, escapes[-1].dist)
@@ -451,8 +451,8 @@ def _escape_partial(rng) -> float:
     sig = sampling.random_step_spectrum(rng)
     q = rng.uniform(1.2, 3.0)
     n = int(rng.integers(1, 12))
-    small = extremal.lp_escape(sig, q, n, submesh=1)
-    large = extremal.lp_escape(sig, q, 2 * n, submesh=1)
+    small = extremal.lp_escape(sig, q, n)
+    large = extremal.lp_escape(sig, q, 2 * n)
     p = _conjugate(q)
     total = sig.tail_power_integral(1.0, q)
     floor = total / (2.0 * float(special.zeta(p + 1.0)))

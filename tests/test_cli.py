@@ -263,6 +263,14 @@ class TestEscape:
         assert payload["predicted_risk"] <= payload["risk_limit"]
         assert payload["segments"] == len(payload["dist"]["values"])
 
+    def test_lp_mode_at_depth(self, files, capsys):
+        code, payload, _ = run(
+            capsys, "escape", "--spectrum", files / "power.json",
+            "--mode", "lp", "--depth", "3000",
+        )
+        assert code == 0
+        assert payload["segments"] == 24001  # the zero band and 8 pieces per band
+
     def test_lp_mode_nonintegrable_exponent(self, files, capsys):
         code, payload, err = run(
             capsys, "escape", "--spectrum", files / "power.json", "--q", "2.0"

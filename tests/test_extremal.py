@@ -45,8 +45,8 @@ class TestLpEscape:
             risk = spectral_risk(sigma, esc.dist)
             assert esc.predicted_risk >= last_pred
             assert risk >= last_risk
-            # the submesh samples the density at each subcell's shallow
-            # edge, so the built risk sits below the aligned series
+            # each band piece reads the density at its shallow edge, so the
+            # built risk sits below the aligned series
             assert risk <= esc.predicted_risk + 1e-12
             assert esc.predicted_risk <= limit + 1e-12
             last_pred, last_risk = esc.predicted_risk, risk
@@ -163,7 +163,7 @@ class TestGeneralSpectrumEscapes:
         general = lp_escape(self.SQRT_LIKE, 1.5, depth)
         exact = lp_escape(PowerSqrtSpectrum(), 1.5, depth)
         np.testing.assert_allclose(general.dist.values, exact.dist.values, rtol=1e-12)
-        np.testing.assert_allclose(general.dist.masses, exact.dist.masses, rtol=1e-9)
+        np.testing.assert_allclose(general.dist.masses, exact.dist.masses, rtol=5e-13)
         assert general.predicted_risk == exact.predicted_risk
         assert general.lp_partial == exact.lp_partial
 
@@ -189,12 +189,86 @@ class TestGeneralSpectrumEscapes:
 
     def test_rising_spectrum_escapes(self):
         q = 1.5
-        esc = lp_escape(self.RISING, q, 3, submesh=2)
+        esc = lp_escape(self.RISING, q, 3)
         assert spectral_risk(self.RISING, esc.dist) <= esc.predicted_risk + 1e-9
         assert esc.predicted_risk <= lp_escape_limit(self.RISING, q)
         bounded = linf_escape(self.RISING, 8)
         assert bounded.dist.max_value == 8.0
         assert bounded.risk <= linf_risk_bound(8) + 1e-12
+
+
+def _per_band_escape(sigma, q, depth, submesh=8):
+    """Reference: the per-band loop the whole-array ``lp_escape`` replaced,
+    one edge array per band (the step nodes strictly inside it, or
+    ``submesh`` geometric pieces) and one density read per band."""
+    p = q / (q - 1.0)
+    total = float(sigma.tail_power_integral(1.0, q))
+    zp1 = float(special.zeta(p + 1.0))
+    n_idx = np.arange(1, depth + 1)
+    targets = total * special.zeta(p + 1.0, n_idx + 1.0) / zp1
+    gaps = np.concatenate([[1.0], sigma.invert_tail_power(targets, q)])
+    values = [np.array([0.0])]
+    masses = [np.array([gaps[depth]])]
+    for n in n_idx:
+        g_hi, g_lo = gaps[n - 1], gaps[n]
+        if isinstance(sigma, StepSpectrum):
+            nodes = sigma.kink_gaps
+            inner = nodes[(nodes > g_lo) & (nodes < g_hi)][::-1]
+            edges = np.concatenate([[g_hi], inner, [g_lo]])
+        else:
+            edges = np.geomspace(g_hi, g_lo, submesh + 1)
+        values.append(float(n) * sigma.density_from_gap(edges[:-1]) ** (q - 1.0))
+        masses.append(edges[:-1] - edges[1:])
+    dist = StepQuantile.from_segments(np.concatenate(values), np.concatenate(masses))
+    predicted = total / zp1 * float(special.zeta(p) - special.zeta(p, depth + 1.0))
+    partial = total / zp1 * float(special.digamma(depth + 1.0) + np.euler_gamma)
+    return dist, predicted, partial, gaps
+
+
+def _random_step(cells, seed):
+    rng = np.random.default_rng(seed)
+    edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, cells - 1)), [1.0]])
+    values = np.cumsum(rng.exponential(1.0, cells))
+    return StepSpectrum(edges, values / np.dot(values, np.diff(edges)))
+
+
+# a jump whose node 1 - b lands exactly on the second band gap at q = 1.9
+NODE_ON_GAP = StepSpectrum([0.0, 0.999, 1.0], [0.9925179613918802, 8.474556569511678])
+
+
+class TestWholeArrayBands:
+    FAMILIES = {
+        "power_sqrt": PowerSqrtSpectrum(),
+        "avar": AvarSpectrum(0.3),
+        "step31": _random_step(31, 3),
+        "flat": FLAT,
+        "sqrt_like": TestGeneralSpectrumEscapes.SQRT_LIKE,
+    }
+
+    @staticmethod
+    def _assert_bit_equal(sigma, q, depth):
+        dist, predicted, partial, _ = _per_band_escape(sigma, q, depth)
+        esc = lp_escape(sigma, q, depth)
+        assert esc.dist.values.tobytes() == dist.values.tobytes()
+        assert esc.dist.masses.tobytes() == dist.masses.tobytes()
+        assert esc.predicted_risk == predicted
+        assert esc.lp_partial == partial
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_bit_equal_to_the_per_band_loop(self, family):
+        sigma = self.FAMILIES[family]
+        for depth in (1, 3, 40, 300):
+            for q in (1.2, 1.5, 1.9):
+                self._assert_bit_equal(sigma, q, depth)
+
+    def test_node_on_a_band_gap(self):
+        _, _, _, gaps = _per_band_escape(NODE_ON_GAP, 1.9, 3)
+        assert NODE_ON_GAP.kink_gaps[1] == gaps[2]
+        for depth in (2, 3, 40):
+            self._assert_bit_equal(NODE_ON_GAP, 1.9, depth)
+        # the node is a piece edge once, not a zero-width piece
+        esc = lp_escape(NODE_ON_GAP, 1.9, 3)
+        assert esc.dist.n_segments == 4
 
 
 class TestHeavyTail:
@@ -246,18 +320,14 @@ class TestDivergenceDemo:
         assert report.exceeded_at is None
         assert report.rows[-1].l1 == pytest.approx(1.5, abs=1e-15)
 
-    def test_explicit_level_schedules(self):
+    def test_target_must_be_strictly_exceeded(self):
         # clipping at 4 gives l1 exactly 2, which does not strictly exceed
-        # the target; the scan moves on and stops at 16
-        report = l1_divergence_demo(
-            heavy_tail_quantile(8), FLAT, 2.0, levels=[4.0, 16.0]
-        )
-        assert report.rows[0].l1 == 2.0
-        assert report.exceeded_at == 16.0
-        with pytest.raises(ValueError):
-            l1_divergence_demo(heavy_tail_quantile(8), FLAT, 2.0, levels=[4.0, 4.0])
-        with pytest.raises(ValueError):
-            l1_divergence_demo(heavy_tail_quantile(8), FLAT, 2.0, levels=[-1.0, 4.0])
+        # the target; the scan moves on and stops at 8
+        report = l1_divergence_demo(heavy_tail_quantile(8), FLAT, 2.0)
+        assert [row.level for row in report.rows] == [1.0, 2.0, 4.0, 8.0]
+        assert report.rows[2].l1 == 2.0
+        assert report.exceeded_at == 8.0
+        assert not report.vacuous
 
     def test_target_domain(self):
         # no L1 norm exceeds NaN, so a NaN target would read as vacuous

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskspace import sampling
 from riskspace.kusuoka import (
     KusuokaMeasure,
     load_measure,
@@ -46,6 +47,24 @@ class TestMuFromSigma:
         mu = mu_from_sigma(sigma)
         np.testing.assert_allclose(mu.levels, [0.0, 0.5])
         np.testing.assert_allclose(mu.weights, [0.5, 0.5])
+
+    def test_bit_equal_to_the_per_jump_loop(self):
+        # reference: the per-jump loop the masked expression replaced
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            sigma = sampling.random_step_spectrum(rng, max_cells=12)
+            levels, weights = [], []
+            if sigma.values[0] > 0:
+                levels.append(0.0)
+                weights.append(float(sigma.values[0]))
+            for s, d in zip(sigma.breakpoints[1:-1], np.diff(sigma.values)):
+                if d > 0:
+                    levels.append(float(s))
+                    weights.append(float((1.0 - s) * d))
+            ref = KusuokaMeasure(np.array(levels), np.array(weights))
+            mu = mu_from_sigma(sigma)
+            assert mu.levels.tobytes() == ref.levels.tobytes()
+            assert mu.weights.tobytes() == ref.weights.tobytes()
 
     def test_rejects_non_step_input(self):
         with pytest.raises(TypeError):

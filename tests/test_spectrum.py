@@ -454,6 +454,68 @@ class TestGeneralSpectrum:
         g = gen.invert_tail(0.125)
         assert gen.tail_from_gap(g) == pytest.approx(0.125, abs=1e-10)
 
+    def test_inversion_agrees_with_the_closed_form_to_tiny_gaps(self):
+        gen, ref = self._power(), PowerSqrtSpectrum()
+        gaps = np.geomspace(1.0, 1e-280, 1000)
+        for q in (1.0, 1.5):
+            exact = ref.invert_tail_power(ref.tail_power_integral(gaps, q), q)
+            got = gen.invert_tail_power(ref.tail_power_integral(gaps, q), q)
+            assert np.max(np.abs(got - exact) / np.spacing(exact)) <= 16
+        # below the smallest normal gap: tail 1e-151 is reached at 1e-302
+        assert gen.invert_tail(1e-151) == 9.999999999999998e-303 == ref.invert_tail(1e-151)
+        assert gen.invert_tail(0.0) == 0.0
+        assert gen.invert_tail(1.0) == 1.0
+
+    def test_inversion_returns_the_smallest_reaching_gap(self):
+        gen = self._power()
+        targets = np.random.default_rng(5).uniform(0.0, 1.0, 2000) ** 40
+        for q in (1.0, 1.5):
+            scaled = targets * float(gen.tail_power_integral(1.0, q))
+            g = gen.invert_tail_power(scaled, q)
+            assert np.all(gen.tail_power_integral(g, q) >= scaled)
+            assert np.all(gen.tail_power_integral(np.nextafter(g, 0.0), q) < scaled)
+
+    def test_total_inverts_to_gap_one_across_a_flat_spot(self):
+        # sigma = 2 above level 1/2 and 0 below, as AVaR(1/2): the tail
+        # reaches its total at gap 1/2, and the total still maps to gap 1
+        avar_like = GeneralSpectrum(
+            gap_density_fn=lambda g: np.where(g <= 0.5, 2.0, 0.0),
+            gap_tail_fn=lambda g: np.minimum(2.0 * g, 1.0),
+        )
+        assert avar_like.invert_tail(1.0) == 1.0 == AvarSpectrum(0.5).invert_tail(1.0)
+        assert avar_like.invert_tail(0.5) == 0.25 == AvarSpectrum(0.5).invert_tail(0.5)
+
+    def test_inversion_cost_is_fixed_per_batch(self):
+        calls = []
+
+        def counted(g, q):
+            calls.append(np.size(g))
+            return _sqrt_tail_power(g, q)
+
+        gen = GeneralSpectrum(
+            gap_density_fn=lambda g: 0.5 / np.sqrt(g), gap_tail_fn=np.sqrt, tail_power_fn=counted
+        )
+        targets = np.linspace(0.0, float(gen.tail_power_integral(1.0, 1.5)), 1000)
+        calls.clear()
+        batch = gen.invert_tail_power(targets, 1.5)
+        assert len(calls) <= 64
+        # a fixed count of halvings: no element depends on the rest of the batch
+        alone = [gen.invert_tail_power(t, 1.5) for t in targets[::97]]
+        assert _bits(batch[::97]) == _bits(alone)
+
+    def test_residual_check_catches_a_jump(self):
+        # a declared sigma**q integral with a jump at gap 1/2 has no root for
+        # targets inside the jump; the bisection ends at the jump and the
+        # residual check rejects it
+        jumpy = GeneralSpectrum(
+            gap_density_fn=np.ones_like,
+            gap_tail_fn=lambda g: g,
+            tail_power_fn=lambda g, q: np.where(g < 0.5, g, g + 0.25) / 1.25,
+        )
+        assert jumpy.invert_tail_power(0.2, 1.5) == pytest.approx(0.25, abs=1e-15)
+        with pytest.raises(ValueError, match="residual"):
+            jumpy.invert_tail_power(0.5, 1.5)
+
     def test_inversion_rejects_targets_beyond_the_total(self):
         gen = self._power()
         for bad in (1.5, -0.1, math.nan):
