@@ -38,6 +38,7 @@ gaps with one suffix sum and one ``searchsorted``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +156,16 @@ def quantile_density_ratio_bound(Z: StepQuantile, sigma: Spectrum) -> float:
     A finite value c certifies |Z|'s quantile <= c * sigma almost everywhere,
     a stronger (not equivalent) condition than dominance of the averaged
     tails.  The supremum over each piece between tail masses of |Z| sits at
-    its larger gap, where the density is smallest.
+    its larger gap, where the density is smallest.  The bound is ``inf``
+    when sigma vanishes where |Z| does not, and ``OverflowError`` is raised
+    when it is finite but beyond the largest double.
     """
     z_abs, gaps = _piece_ends(Z)
     q = z_abs.value_at_gap(gaps)
     dens = sigma.density_from_gap(gaps)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(q == 0.0, 0.0, q / dens)
-    return float(np.max(ratio))
+    bound = float(np.max(ratio))
+    if math.isinf(bound) and not ((q > 0.0) & (dens == 0.0)).any():
+        raise OverflowError("quantile-to-density ratio bound exceeds the largest double")
+    return bound

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,25 @@ class TestQuantileDensityRatio:
             StepQuantile.from_samples([1.0]), AvarSpectrum(0.5)
         )
         assert math.isinf(bound)
+
+    @pytest.mark.parametrize(
+        "sigma", [PowerSqrtSpectrum(), StepSpectrum([0.0, 0.5, 1.0], [0.5, 1.5])]
+    )
+    def test_finite_bound_beyond_the_float_range_raises(self, sigma):
+        # |Z| = 1.7e308 over density 0.5 at level 0: the bound is 3.4e308
+        Z = StepQuantile([-1.7e308, 1.7e308], [0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match="exceeds the largest double"):
+                quantile_density_ratio_bound(Z, sigma)
+            # half the values fit: the same scan returns the finite bound
+            assert quantile_density_ratio_bound(Z.scale(0.5), sigma) == 1.7e308
+
+    def test_vanishing_density_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            Z = StepQuantile([-1.7e308, 1.7e308], [0.5, 0.5])
+            assert quantile_density_ratio_bound(Z, AvarSpectrum(0.5)) == math.inf
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -190,6 +190,53 @@ class TestStepSpectrum:
             StepSpectrum([0.0, 1.0], [0.5])
         assert [v.prop for v in caught.value.violations] == ["normalization"]
 
+    @pytest.mark.parametrize(
+        "bp, values, violations",
+        [
+            ([0.0, 0.5, 1.0], [-1.0, 3.0], ["nonnegativity at u=0: value -1 is not >= 0"]),
+            ([0.0, 0.5, 1.0], [1.5, 0.5], ["monotonicity at u=0.5: value falls from 1.5 to 0.5"]),
+            ([0.0, 0.5, 1.0], [2.0, -0.0], ["monotonicity at u=0.5: value falls from 2 to -0"]),
+            ([0.0, 0.5, 1.0], [1.0, 2.0], ["normalization at u=0: total mass 1.5 != 1"]),
+            ([0.0, 1.0], [1.0 + 2e-10], ["normalization at u=0: total mass 1.0000000002 != 1"]),
+            (
+                [0.0, 0.5, 1.0],
+                [-1.0, -1.0],
+                [
+                    "nonnegativity at u=0: value -1 is not >= 0",
+                    "normalization at u=0: total mass -1 != 1",
+                ],
+            ),
+            (
+                [0.0, 0.25, 0.5, 1.0],
+                [0.0, 3.0, 1.0],
+                [
+                    "monotonicity at u=0.5: value falls from 3 to 1",
+                    "normalization at u=0: total mass 1.25 != 1",
+                ],
+            ),
+        ],
+    )
+    def test_violations_are_pinned(self, bp, values, violations):
+        with pytest.raises(InvalidSpectrumError) as caught:
+            StepSpectrum(bp, values)
+        assert [str(v) for v in caught.value.violations] == violations
+        assert str(caught.value) == "invalid spectrum: " + "; ".join(violations)
+
+    @pytest.mark.parametrize("values", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]])
+    def test_nonfinite_values_are_rejected_before_validation(self, values):
+        with pytest.raises(ValueError) as caught:
+            StepSpectrum([0.0, 0.5, 1.0], values)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "step values must be finite"
+
+    @pytest.mark.parametrize("values", [[math.nan, 2.0], [0.0, math.nan]])
+    def test_check_reports_a_nan_value(self, values):
+        # the constructor rejects NaN first; the check itself must not pass
+        # one either, since every comparison with NaN is false
+        s = StepSpectrum([0.0, 0.5, 1.0], [0.0, 2.0])
+        object.__setattr__(s, "values", np.array(values))
+        assert "nonnegativity" in [v.prop for v in s._check()]
+
     def test_nan_breakpoint_is_not_increasing(self):
         # NaN fails every comparison, so only a positive test catches it
         for bp in ([0.0, math.nan, 1.0], [0.0, 0.5, math.nan, 1.0]):

@@ -251,6 +251,131 @@ class TestConstruction:
             StepQuantile.from_segments([1.0, 2.0], masses)
 
 
+NAN, INF = float("nan"), float("inf")
+FINITE = "quantile values must be finite"
+POSITIVE = "segment masses must be strictly positive and finite"
+NONNEGATIVE = "segment masses must be nonnegative"
+WEIGHTS = "weights must be strictly positive and finite"
+UNDERFLOW = "a segment mass underflows to 0 when normalised"
+CONSTRUCTORS = {
+    "direct": StepQuantile,
+    "segments": StepQuantile.from_segments,
+    "samples": StepQuantile.from_samples,
+}
+
+
+class TestErrorContract:
+    # each constructor's exception and message on malformed input, pinned so
+    # that reordering or merging the checks cannot change what a caller sees
+
+    @pytest.mark.parametrize("ctor", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_nonfinite_value(self, ctor, bad, pos):
+        values = [0.0, 1.0, 2.0]
+        values[pos] = bad
+        with pytest.raises(ValueError) as caught:
+            CONSTRUCTORS[ctor](values, [0.25, 0.25, 0.5])
+        assert type(caught.value) is ValueError and str(caught.value) == FINITE
+
+    @pytest.mark.parametrize("ctor", sorted(CONSTRUCTORS))
+    def test_all_nan_values(self, ctor):
+        with pytest.raises(ValueError, match=f"^{FINITE}$"):
+            CONSTRUCTORS[ctor]([NAN, NAN], [0.5, 0.5])
+
+    @pytest.mark.parametrize("values", [[3.0, 2.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, -0.5]])
+    def test_decreasing_values(self, values):
+        masses = [0.25, 0.25, 0.5]
+        with pytest.raises(ValueError, match="^quantile values must be nondecreasing$"):
+            StepQuantile(values, masses)
+        # the raw-input constructors sort instead
+        for ctor in ("segments", "samples"):
+            assert CONSTRUCTORS[ctor](values, masses).values.tolist() == sorted(set(values))
+
+    @pytest.mark.parametrize(
+        "masses, direct, segments, samples",
+        [
+            ([0.0, 0.5, 0.5], POSITIVE, None, WEIGHTS),
+            ([-0.0, 0.5, 0.5], POSITIVE, None, WEIGHTS),
+            ([0.5, -1.0, 0.5], POSITIVE, NONNEGATIVE, WEIGHTS),
+            ([0.5, 0.5, NAN], POSITIVE, NONNEGATIVE, WEIGHTS),
+            ([INF, 0.5, 0.5], POSITIVE, POSITIVE, WEIGHTS),
+            ([0.0, 0.0, 0.0], POSITIVE, "no segments with positive mass", WEIGHTS),
+            ([1e300, 1e-300, 1.0], UNDERFLOW, UNDERFLOW, UNDERFLOW),
+            ([1e308, 1e308, 1e-300], UNDERFLOW, UNDERFLOW, UNDERFLOW),
+        ],
+    )
+    def test_bad_masses(self, masses, direct, segments, samples):
+        for ctor, message in (("direct", direct), ("segments", segments), ("samples", samples)):
+            if message is None:  # a zero mass is dropped
+                assert CONSTRUCTORS[ctor]([0.0, 1.0, 2.0], masses).values.tolist() == [1.0, 2.0]
+                continue
+            with pytest.raises(ValueError) as caught:
+                CONSTRUCTORS[ctor]([0.0, 1.0, 2.0], masses)
+            assert type(caught.value) is ValueError and str(caught.value) == message
+
+    def test_direct_checks_finite_then_masses_then_order(self):
+        with pytest.raises(ValueError, match=f"^{FINITE}$"):
+            StepQuantile([2.0, NAN, 1.0], [0.0, 0.5, 0.5])
+        with pytest.raises(ValueError, match=f"^{POSITIVE}$"):
+            StepQuantile([2.0, 1.0], [0.0, 0.5])
+        with pytest.raises(ValueError, match=f"^{POSITIVE}$"):
+            StepQuantile([2.0, 1.0], [NAN, 0.5])
+
+
+class TestAbsMemo:
+    # |Y| is built once per law and shared; every norm reads the same object
+
+    def test_one_object_per_law(self):
+        d = StepQuantile.from_samples([-2.0, 1.0, 2.0])
+        assert d.abs() is d.abs()
+
+    def test_memo_is_read_only(self):
+        m = StepQuantile.from_samples([-2.0, 1.0, 3.0]).abs()
+        for arr in (m.values, m.masses, m.tail_masses):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+
+    @given(raw_segments())
+    @settings(max_examples=200, deadline=None)
+    @example(([1.0, -1.0, 0.0, -0.0], [1e-300, 1e-300, 0.5, 0.5]))
+    @example(([-3.0, -0.0, 0.0, 3.0], [1e-300, 0.25, 0.25, 1e-300]))
+    def test_memo_is_the_canonical_abs(self, vm):
+        d = StepQuantile.from_segments(*vm)
+        ref = StepQuantile.from_segments(np.abs(d.values), d.masses)
+        assert same_bits(d.abs(), (ref.values, ref.masses, ref.tail_masses))
+
+    def test_set_norm_sorts_once(self, monkeypatch):
+        from riskspace.kusuoka import set_norm
+
+        d = StepQuantile.from_samples(np.random.default_rng(5).normal(size=50))
+        original = StepQuantile.__dict__["from_segments"].__func__
+        calls = []
+
+        def counted(cls, values, masses):
+            calls.append(len(values))
+            return original(cls, values, masses)
+
+        monkeypatch.setattr(StepQuantile, "from_segments", classmethod(counted))
+        spectra = [AvarSpectrum(a) for a in (0.0, 0.3, 0.6, 0.9)] + [PowerSqrtSpectrum()]
+        first = set_norm(spectra, d)
+        assert calls == [50]
+        assert set_norm(spectra, d) == first
+        assert calls == [50]
+
+    @pytest.mark.parametrize("ctor", ["segments", "samples"])
+    def test_sorted_input_is_copied(self, ctor):
+        # the masses do not sum to 1, so normalising in place would show
+        values, masses = np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 2.0])
+        d = CONSTRUCTORS[ctor](values, masses)
+        assert not np.shares_memory(d.values, values)
+        assert not np.shares_memory(d.masses, masses)
+        assert values.flags.writeable and masses.flags.writeable
+        assert values.tolist() == [1.0, 2.0, 3.0] and masses.tolist() == [1.0, 1.0, 2.0]
+        assert d.masses.tolist() == [0.25, 0.25, 0.5]
+
+
 class TestQuantile:
     # four equally likely outcomes 1..4; the 0.5-quantile is the third value
     # because the quantile is the right-continuous inverse inf{y : F(y) > p}
