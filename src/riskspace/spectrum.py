@@ -115,11 +115,6 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nondecreasing(x: np.ndarray) -> bool:
-    """Whether each entry is >= its left neighbour; a NaN compares false."""
-    return bool((x[1:] >= x[:-1]).all())
-
-
 def _check_targets(targets: np.ndarray, total: float) -> None:
     outside = targets[~((targets >= 0.0) & (targets <= total))]
     if outside.size:
@@ -364,14 +359,8 @@ class StepSpectrum(Spectrum):
     # -- validation (exact) -------------------------------------------------
 
     def _check(self) -> list[Violation]:
-        vals = self.values
-        integral = float(np.dot(vals, np.diff(self.breakpoints)))
-        # nonnegative and nondecreasing is a first value >= 0 and no drop
-        # (a NaN compares false); only a violation needs the witness scan
-        unit = abs(integral - 1.0) <= NORMALIZATION_ATOL
-        if unit and vals[0] >= 0 and _nondecreasing(vals):
-            return []
-        return _violations_of(self.breakpoints, vals, "value", 0.0, integral)
+        integral = float(np.dot(self.values, np.diff(self.breakpoints)))
+        return _violations_of(self.breakpoints, self.values, "value", 0.0, integral)
 
     def to_dict(self) -> dict:
         return {

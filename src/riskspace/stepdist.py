@@ -17,15 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectrum import (
-    Spectrum,
-    StepSpectrum,
-    _GapSteps,
-    _nondecreasing,
-    _power_mean,
-    _scalar_or_array,
-    _suffix_sums,
-)
+from .spectrum import Spectrum, StepSpectrum, _GapSteps, _power_mean, _scalar_or_array, _suffix_sums
 
 
 class InputFormatError(ValueError):
@@ -55,15 +47,11 @@ class StepQuantile:
         """Validate, normalise in place and freeze arrays this object owns."""
         if vals.ndim != 1 or mass.ndim != 1 or vals.size != mass.size or vals.size == 0:
             raise ValueError("values and masses must be equal-length, nonempty 1-d arrays")
-        # nondecreasing between finite ends means finite throughout, since a
-        # NaN compares false; the full finiteness scan runs only to pick the
-        # message, checked in the order finite, masses, nondecreasing
-        ordered = _nondecreasing(vals) and math.isfinite(vals[0]) and math.isfinite(vals[-1])
-        if not ordered and not np.isfinite(vals).all():
+        if not np.isfinite(vals).all():
             raise ValueError("quantile values must be finite")
-        if not (mass.min() > 0 and mass.max() < math.inf):  # a NaN fails both
+        if not ((mass > 0) & (mass < np.inf)).all():
             raise ValueError("segment masses must be strictly positive and finite")
-        if not ordered:
+        if (vals[1:] < vals[:-1]).any():
             raise ValueError("quantile values must be nondecreasing")
         with np.errstate(over="ignore"):
             total = float(mass.sum())
@@ -119,12 +107,9 @@ class StepQuantile:
         del keep
         if vals.size == 0:
             raise ValueError("no segments with positive mass")
-        if _nondecreasing(vals):  # a stable sort would be the identity
-            vals, mass = vals.copy(), mass.copy()
-        else:
-            order = np.argsort(vals, kind="stable")
-            vals, mass = vals[order], mass[order]
-            del order
+        order = np.argsort(vals, kind="stable")
+        vals, mass = vals[order], mass[order]
+        del order
         # merge exact ties so breakpoints stay strictly increasing; bincount
         # sums each run in order, as adding into zeros would
         fresh = _run_starts(vals)

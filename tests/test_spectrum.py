@@ -229,14 +229,6 @@ class TestStepSpectrum:
         assert type(caught.value) is ValueError
         assert str(caught.value) == "step values must be finite"
 
-    @pytest.mark.parametrize("values", [[math.nan, 2.0], [0.0, math.nan]])
-    def test_check_reports_a_nan_value(self, values):
-        # the constructor rejects NaN first; the check itself must not pass
-        # one either, since every comparison with NaN is false
-        s = StepSpectrum([0.0, 0.5, 1.0], [0.0, 2.0])
-        object.__setattr__(s, "values", np.array(values))
-        assert "nonnegativity" in [v.prop for v in s._check()]
-
     def test_nan_breakpoint_is_not_increasing(self):
         # NaN fails every comparison, so only a positive test catches it
         for bp in ([0.0, math.nan, 1.0], [0.0, 0.5, math.nan, 1.0]):
