@@ -116,12 +116,17 @@ def identity_norm(source_set, target_set) -> float:
 
 
 def avar_sandwich_check(alpha_lo: float, alpha_hi: float, dist: StepQuantile) -> SandwichReport:
-    """Check AVaR_lo(|Y|) <= AVaR_hi(|Y|) <= ((1-lo)/(1-hi)) AVaR_lo(|Y|)."""
+    """Check AVaR_lo(|Y|) <= AVaR_hi(|Y|) <= ((1-lo)/(1-hi)) AVaR_lo(|Y|).
+
+    ``OverflowError`` when the upper bound is beyond the largest double.
+    """
     if not 0.0 <= alpha_lo <= alpha_hi < 1.0:
         raise ValueError("need levels 0 <= alpha_lo <= alpha_hi < 1")
     mag = dist.abs()
     lo = avar(alpha_lo, mag)
     hi = avar(alpha_hi, mag)
     bound = (1.0 - alpha_lo) / (1.0 - alpha_hi) * lo
+    if math.isinf(bound):
+        raise OverflowError("AVaR sandwich bound exceeds the largest double")
     holds = lo <= hi + SANDWICH_SLACK and hi <= bound + SANDWICH_SLACK
     return SandwichReport(lo, hi, bound, holds)

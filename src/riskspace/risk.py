@@ -8,6 +8,7 @@ coordinates.  No quadrature is involved for any spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -110,13 +111,18 @@ def semideviation(dist: StepQuantile, p: float, lam: float) -> SemideviationResu
     """Mean plus lam times the upper p-semideviation.
 
     Also reports (1 + lam) * ||Y||_p, the bound the value respects for
-    nonnegative Y.
+    nonnegative Y, or raises ``OverflowError`` beyond the largest double.
+    Where Y's range leaves the double range the excess is formed halved.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("the loading factor must lie in (0, 1]")
     if p < 1:
         raise ValueError("Lp norms need p >= 1")
     mu = dist.mean
-    excess = StepQuantile(np.maximum(dist.values - mu, 0.0), dist.masses)
-    value = mu + lam * excess.lp_norm(p)
-    return SemideviationResult(value=value, pnorm_bound=(1.0 + lam) * dist.lp_norm(p))
+    k = 0.5 if math.isinf(dist.max_value - float(dist.values[0])) else 1.0
+    excess = StepQuantile(np.maximum(dist.values * k - mu * k, 0.0), dist.masses)
+    value = mu + lam / k * excess.lp_norm(p)
+    bound = (1.0 + lam) * dist.lp_norm(p)
+    if math.isinf(bound):
+        raise OverflowError("semideviation p-norm bound exceeds the largest double")
+    return SemideviationResult(value=value, pnorm_bound=bound)

@@ -194,10 +194,12 @@ class Spectrum:
     ``PowerSqrtSpectrum`` is valid by definition.  Subclasses override
     ``_check`` only; the generic one reads the density on ``FALLBACK_GAPS``.
 
-    Subclasses provide ``density_from_gap``, ``tail_from_gap`` and the
-    power-integral helpers, from which ``density`` and ``tail`` derive the
-    level forms.  Code that needs a step's exact structure tests
-    ``isinstance(sigma, StepSpectrum)``.
+    A family declares its forward forms ``density_from_gap``,
+    ``tail_from_gap``, ``tail_power_integral`` and ``density_sup``; from them
+    derive ``density``, ``tail``, ``lq_norm`` and the bisection inverses
+    ``invert_tail_power`` and ``invert_tail``, which ``StepSpectrum``
+    overrides with its exact cell-wise forms.  Code that needs a step's
+    exact structure tests ``isinstance(sigma, StepSpectrum)``.
 
     Array contract: ``density``, ``tail`` and every gap method
     (``density_from_gap``, ``tail_from_gap``, ``tail_power_integral``,
@@ -227,11 +229,19 @@ class Spectrum:
     def tail_from_gap(self, g):
         raise NotImplementedError
 
-    def lq_norm(self, q: float) -> float:
-        raise NotImplementedError
-
     #: sigma(1-), the essential sup of the density; math.inf, or None if undeclared
     density_sup: float | None = None
+
+    def lq_norm(self, q: float) -> float:
+        """||sigma||_q: ``density_sup`` at q = inf, else the total power
+        integral to the power 1/q (inf where sigma**q is not integrable)."""
+        if q < 1:
+            raise ValueError("Lq norms need q >= 1")
+        if math.isinf(q):
+            if self.density_sup is None:
+                raise ValueError("lq_norm(inf) needs a declared density_sup")
+            return float(self.density_sup)
+        return float(self.tail_power_integral(1.0, q)) ** (1.0 / q)
 
     # -- power integrals for the extremal constructions -------------------
 
@@ -239,13 +249,36 @@ class Spectrum:
         """Integral of sigma**q over [1-g, 1), as a function of the gap."""
         raise NotImplementedError
 
+    @_scalar_or_array
     def invert_tail_power(self, target, q: float):
         """Largest gap g with tail_power_integral(g, q) == target.
 
         Equivalently the *leftmost* level t with the forward integral of
         sigma**q over [0, t] hitting its target, per the flat-spot tie rule.
         """
-        raise NotImplementedError
+        # bisection on the bit patterns of the gaps, which order the
+        # nonnegative doubles: the pattern range (lo, hi] starts below +0.0
+        # and ends at 1.0, is narrower than 2**62, and after 62 halvings hi
+        # is the smallest gap whose integral reaches the target, subnormals
+        # included.  The count is fixed, so no target depends on the batch.
+        # A nondecreasing sigma is flat only at its bottom (large gaps), so
+        # only the total needs the largest gap, 1.
+        total = float(self.tail_power_integral(1.0, q))
+        if math.isinf(total):
+            raise ValueError(f"sigma**{q:g} is not integrable")
+        _check_targets(target, total)
+        lo = np.full(target.shape, -1, dtype=np.int64)
+        hi = np.full(target.shape, np.float64(1.0).view(np.int64))
+        for _ in range(62):
+            mid = (lo + hi) >> 1
+            reached = self.tail_power_integral(mid.view(np.float64), q) >= target
+            lo = np.where(reached, lo, mid)
+            hi = np.where(reached, mid, hi)
+        g = np.where(target == total, 1.0, hi.view(np.float64))
+        if np.any(abs(self.tail_power_integral(g, q) - target) > 1e-10):
+            raise ValueError("root finding failed to reach the 1e-10 residual target: the "
+                             "integral jumps, or the root lies below the smallest positive double")
+        return g
 
     def invert_tail(self, s):
         """Largest gap g with S(1-g) == s (leftmost level t with S(t) = s)."""
@@ -303,9 +336,12 @@ class StepSpectrum(Spectrum):
             log.debug("rescaled step spectrum by %.17g", factor)
         bp.setflags(write=False)
         vals.setflags(write=False)
+        widths.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "rescale_factor", factor)
+        object.__setattr__(self, "_widths", widths)  # read by _check and lq_norm
+        object.__setattr__(self, "_mass", integral * factor)
         # the density as a step function of the gap: cell k, the gaps of
         # [b[k], b[k+1]), is (1 - b[k+1], 1 - b[k]]
         gap_nodes = 1.0 - bp
@@ -336,11 +372,9 @@ class StepSpectrum(Spectrum):
         return self._steps.integral(g)
 
     def lq_norm(self, q: float) -> float:
-        if q < 1:
-            raise ValueError("Lq norms need q >= 1")
-        if math.isinf(q):
-            return float(np.max(self.values))
-        return _power_mean(self.values, np.diff(self.breakpoints), q)
+        if q < 1 or math.isinf(q):  # the domain error, or density_sup
+            return super().lq_norm(q)
+        return _power_mean(self.values, self._widths, q)
 
     @property
     def density_sup(self) -> float:  # type: ignore[override]
@@ -359,8 +393,7 @@ class StepSpectrum(Spectrum):
     # -- validation (exact) -------------------------------------------------
 
     def _check(self) -> list[Violation]:
-        integral = float(np.dot(self.values, np.diff(self.breakpoints)))
-        return _violations_of(self.breakpoints, self.values, "value", 0.0, integral)
+        return _violations_of(self.breakpoints, self.values, "value", 0.0, self._mass)
 
     def to_dict(self) -> dict:
         return {
@@ -409,36 +442,12 @@ class PowerSqrtSpectrum(Spectrum):
     def tail_from_gap(self, g):
         return np.sqrt(g)
 
-    def lq_norm(self, q: float) -> float:
-        if q < 1:
-            raise ValueError("Lq norms need q >= 1")
-        if q >= 2:
-            return math.inf
-        return 0.5 * (2.0 / (2.0 - q)) ** (1.0 / q)
-
     @_scalar_or_array
     def tail_power_integral(self, g, q: float):
         if q >= 2:
             return np.where(g > 0, math.inf, 0.0)
         expo = 1.0 - q / 2.0
         return (2.0**-q) * g**expo / expo
-
-    @_scalar_or_array
-    def invert_tail_power(self, target, q: float):
-        if q >= 2:
-            raise ValueError("sigma**q is not integrable for q >= 2")
-        _check_targets(target, float(self.tail_power_integral(1.0, q)))
-        expo = 1.0 - q / 2.0
-        # Python's pow per element: numpy's power differs from it in the last
-        # bit on some inputs, and the escape bands keep Python's bits; the
-        # total can round to a gap just above 1, so cap at the domain's end
-        out = [min((t * expo * 2.0**q) ** (1.0 / expo), 1.0) for t in target.ravel().tolist()]
-        return np.reshape(out, target.shape)
-
-    @_scalar_or_array
-    def invert_tail(self, s):
-        _check_targets(s, 1.0)
-        return s * s
 
     def to_dict(self) -> dict:
         return {"kind": "power_sqrt"}
@@ -479,15 +488,6 @@ class GeneralSpectrum(Spectrum):
     def tail_from_gap(self, g):
         return self.gap_tail_fn(g)
 
-    def lq_norm(self, q: float) -> float:
-        if q < 1:
-            raise ValueError("Lq norms need q >= 1")
-        if math.isinf(q):
-            if self.density_sup is None:
-                raise ValueError("lq_norm(inf) needs a declared density_sup")
-            return float(self.density_sup)
-        return float(self.tail_power_integral(1.0, q)) ** (1.0 / q)
-
     @_scalar_or_array
     def tail_power_integral(self, g, q: float):
         if q == 1.0:
@@ -495,27 +495,6 @@ class GeneralSpectrum(Spectrum):
         if self.tail_power_fn is None:
             raise ValueError(f"sigma**{q:g} integrals need a declared tail_power_fn")
         return self.tail_power_fn(g, q)
-
-    @_scalar_or_array
-    def invert_tail_power(self, target, q: float):
-        # bisection on the bit patterns of the gaps, which order the
-        # nonnegative doubles: the pattern range (lo, hi] starts below +0.0
-        # and ends at 1.0, is narrower than 2**62, and after 62 halvings hi
-        # is the smallest gap whose integral reaches the target, subnormals
-        # included.  The count is fixed, so no target depends on the batch.
-        total = float(self.tail_power_integral(1.0, q))
-        _check_targets(target, total)
-        lo = np.full(target.shape, -1, dtype=np.int64)
-        hi = np.full(target.shape, np.float64(1.0).view(np.int64))
-        for _ in range(62):
-            mid = (lo + hi) >> 1
-            reached = self.tail_power_integral(mid.view(np.float64), q) >= target
-            lo = np.where(reached, lo, mid)
-            hi = np.where(reached, mid, hi)
-        g = np.where(target == total, 1.0, hi.view(np.float64))
-        if np.any(abs(self.tail_power_integral(g, q) - target) > 1e-10):
-            raise ValueError("root finding failed to reach the 1e-10 residual target")
-        return g
 
 
 # -- step approximation ---------------------------------------------------------

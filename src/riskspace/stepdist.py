@@ -209,14 +209,23 @@ class StepQuantile:
         return self._abs
 
     def shift(self, c: float) -> "StepQuantile":
-        return StepQuantile(self.values + float(c), self.masses)
+        return self._mapped(np.add, c, "shift")
 
     def scale(self, factor: float) -> "StepQuantile":
         if factor < 0:
             raise ValueError("scale factor must be nonnegative")
         if factor == 0:
             return StepQuantile(np.zeros(1), np.ones(1))
-        return StepQuantile(self.values * float(factor), self.masses)
+        return self._mapped(np.multiply, factor, "scale factor")
+
+    def _mapped(self, op, c: float, what: str) -> "StepQuantile":
+        """The law of ``op(Y, c)``; ``OverflowError`` when a finite ``c``
+        takes a value beyond the largest double."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = op(self.values, float(c))
+        if math.isfinite(c) and not np.isfinite(vals).all():
+            raise OverflowError(f"{what} {c:g} takes a quantile value beyond the largest double")
+        return StepQuantile(vals, self.masses)
 
     def clip_upper(self, level: float) -> "StepQuantile":
         return StepQuantile.from_segments(np.minimum(self.values, float(level)), self.masses)

@@ -279,6 +279,15 @@ class TestEscape:
         assert payload is None
         assert "not integrable" in err
 
+    def test_lp_mode_band_below_the_double_range(self, files, capsys):
+        code, payload, err = run(
+            capsys, "escape", "--spectrum", files / "power.json", "--q", "1.999", "--depth", "1"
+        )
+        assert code == 2
+        assert payload is None
+        assert "below the smallest positive double" in err
+        assert "Geometric" not in err
+
     def test_linf_mode(self, files, capsys):
         code, payload, _ = run(
             capsys, "escape", "--spectrum", files / "power.json",

@@ -314,6 +314,16 @@ class TestSandwich:
         with pytest.raises(ValueError):
             avar_sandwich_check(0.5, 1.0, dist)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bound_beyond_the_double_range_overflows(self):
+        # 9 * 1.7e308 is finite but beyond the largest double
+        dist = StepQuantile([-1.7e308, 1.7e308], [0.5, 0.5])
+        with pytest.raises(OverflowError, match="largest double"):
+            avar_sandwich_check(0.1, 0.9, dist)
+        report = avar_sandwich_check(0.5, 0.5, dist)
+        assert report.holds
+        assert all(map(math.isfinite, (report.avar_lo, report.avar_hi, report.upper_bound)))
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.95), st.floats(0.0, 0.95))
     @settings(max_examples=60, deadline=None)
     def test_always_holds_on_step_data(self, seed, a, b):

@@ -103,6 +103,14 @@ class TestLpEscape:
         with pytest.raises(ValueError):
             lp_escape(PowerSqrtSpectrum(), 2.0, 5)
 
+    def test_band_gap_below_the_double_range_is_a_riskspace_error(self):
+        # at q = 1.999 the first band's gap is about 1e-1549; the inverse
+        # never returns gap 0 for a positive target, so no numpy error about
+        # a geometric sequence through 0 escapes
+        with pytest.raises(ValueError, match="below the smallest positive double") as caught:
+            lp_escape(PowerSqrtSpectrum(), 1.999, 1)
+        assert caught.traceback[-1].frame.f_globals["__name__"].startswith("riskspace.")
+
 
 class TestLinfEscape:
     def test_single_band_hand_values(self):

@@ -178,6 +178,38 @@ class TestSemideviation:
         assert result.value <= result.pnorm_bound + 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSemideviationRangeEdge:
+    @staticmethod
+    def _exact(values, masses, p, lam):
+        # mean plus lam times the p-norm of the excess, at 200 bits
+        with mpmath.workprec(200):
+            v = [mpmath.mpf(x) for x in values]
+            m = [mpmath.mpf(x) for x in masses]
+            mu = sum(a * b for a, b in zip(v, m))
+            semi = sum(w * max(a - mu, 0) ** p for a, w in zip(v, m)) ** (mpmath.mpf(1) / p)
+            norm = sum(w * abs(a) ** p for a, w in zip(v, m)) ** (mpmath.mpf(1) / p)
+            return float(mu + lam * semi), float((1 + mpmath.mpf(lam)) * norm)
+
+    @pytest.mark.parametrize(
+        "values, masses",
+        [([-1.7e308, 0.9e308], [0.9, 0.1]), ([-1.7e308, 1.7e308], [1e-10, 1.0 - 1e-10])],
+    )
+    def test_excess_beyond_the_double_range(self, values, masses):
+        # values - mean leaves the double range upward in the first law and
+        # downward in the second, yet the value and the bound are finite
+        result = semideviation(StepQuantile(values, masses), 2.0, 0.05)
+        assert all(math.isfinite(x) for x in result)
+        value, bound = self._exact(values, masses, 2, 0.05)
+        assert result.value == pytest.approx(value, rel=1e-15)
+        assert result.pnorm_bound == pytest.approx(bound, rel=1e-15)
+
+    def test_bound_beyond_the_double_range_overflows(self):
+        # (1 + lam) ||Y||_2 = 1.5 * 1.7e308 is finite but beyond the largest double
+        with pytest.raises(OverflowError, match="largest double"):
+            semideviation(StepQuantile([-1.7e308, 1.7e308], [0.5, 0.5]), 2.0, 0.5)
+
+
 class TestDomainChecks:
     def test_invalid_spectrum_rejected(self):
         # validity is checked once, when the spectrum is built, so a

@@ -440,6 +440,79 @@ class TestArrayContract:
         assert ident.tail_from_gap(gaps[::-1]).tolist() == [0.5, 0.25]
 
 
+def _assert_smallest_reaching_gap(sigma, gap, q):
+    """The inverse of the integral at ``gap`` is the smallest double gap
+    whose integral reaches it; the total maps to gap 1 by the flat-spot rule."""
+    t = float(sigma.tail_power_integral(gap, q))
+    g = sigma.invert_tail_power(t, q)
+    if t == float(sigma.tail_power_integral(1.0, q)):
+        assert g == 1.0
+        return
+    assert sigma.tail_power_integral(g, q) >= t
+    assert g == 0.0 or sigma.tail_power_integral(math.nextafter(g, 0.0), q) < t
+
+
+class TestDerivedForms:
+    """A closed-form family declares its forward forms; ``lq_norm`` and the
+    inverses come from ``Spectrum``."""
+
+    def test_closed_forms_inherit_norm_and_inverse(self):
+        for cls in (PowerSqrtSpectrum, GeneralSpectrum):
+            assert cls.lq_norm is Spectrum.lq_norm
+            assert cls.invert_tail_power is Spectrum.invert_tail_power
+            assert cls.invert_tail is Spectrum.invert_tail
+        assert StepSpectrum.lq_norm is not Spectrum.lq_norm
+        assert StepSpectrum.invert_tail_power is not Spectrum.invert_tail_power
+
+    @given(st.floats(0.0, 1.0), st.floats(1.0, 1.99))
+    @settings(max_examples=300, deadline=None)
+    def test_power_sqrt_inverse_is_the_smallest_reaching_gap(self, gap, q):
+        _assert_smallest_reaching_gap(PowerSqrtSpectrum(), gap, q)
+
+    @given(st.floats(0.0, 1.0), st.floats(1.0, 4.0))
+    @settings(max_examples=300, deadline=None)
+    def test_general_inverse_is_the_smallest_reaching_gap(self, gap, q):
+        _assert_smallest_reaching_gap(_general_rising(), gap, q)
+
+    @staticmethod
+    def _ulps_from_mpmath(q):
+        # ||sigma||_q = (1/2)(2/(2-q))**(1/q) at 200 bits, for the double q
+        with mpmath.workprec(200):
+            qm = mpmath.mpf(q)
+            exact = mpmath.mpf(0.5) * (2 / (2 - qm)) ** (1 / qm)
+            got = PowerSqrtSpectrum().lq_norm(q)
+            return float(abs(got - exact) / math.ulp(float(exact)))
+
+    @given(st.floats(1.0, 1.9))
+    @settings(max_examples=300, deadline=None)
+    def test_power_sqrt_lq_norm_within_two_ulp_of_mpmath(self, q):
+        assert self._ulps_from_mpmath(q) <= 2.0
+
+    @given(st.floats(1.9, 2.0, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_power_sqrt_lq_norm_near_two_within_its_conditioning(self, q):
+        # the total t = 2**-q / (1 - q/2) grows without bound as q -> 2, and
+        # the rounding of 1/q moves t**(1/q) by up to log(t)/q ulp
+        total = 2.0**-q / (1.0 - q / 2.0)
+        assert self._ulps_from_mpmath(q) <= 2.0 + math.log(total) / q
+
+    def test_not_integrable_power_sqrt(self):
+        s = PowerSqrtSpectrum()
+        for q in (2.0, 2.5):
+            with pytest.raises(ValueError, match="not integrable"):
+                s.invert_tail_power(0.5, q)
+
+    def test_not_integrable_general(self):
+        gen = GeneralSpectrum(
+            gap_density_fn=lambda g: 0.5 / np.sqrt(g),
+            gap_tail_fn=np.sqrt,
+            tail_power_fn=_sqrt_tail_power,
+        )
+        assert math.isinf(gen.lq_norm(2.0))
+        with pytest.raises(ValueError, match="not integrable"):
+            gen.invert_tail_power(0.5, 2.0)
+
+
 class TestKinkScan:
     def test_kink_gaps_per_family(self):
         s = StepSpectrum([0.0, 0.25, 0.5, 1.0], [0.5, 1.0, 1.25])
@@ -494,13 +567,14 @@ class TestGeneralSpectrum:
         assert gen.tail_from_gap(g) == pytest.approx(0.125, abs=1e-10)
 
     def test_inversion_agrees_with_the_closed_form_to_tiny_gaps(self):
-        gen, ref = self._power(), PowerSqrtSpectrum()
+        # the targets are the integrals at known gaps, which are their exact roots
+        gen = self._power()
         gaps = np.geomspace(1.0, 1e-280, 1000)
         for q in (1.0, 1.5):
-            exact = ref.invert_tail_power(ref.tail_power_integral(gaps, q), q)
-            got = gen.invert_tail_power(ref.tail_power_integral(gaps, q), q)
-            assert np.max(np.abs(got - exact) / np.spacing(exact)) <= 16
+            got = gen.invert_tail_power(gen.tail_power_integral(gaps, q), q)
+            assert np.max(np.abs(got - gaps) / np.spacing(gaps)) <= 16
         # below the smallest normal gap: tail 1e-151 is reached at 1e-302
+        ref = PowerSqrtSpectrum()
         assert gen.invert_tail(1e-151) == 9.999999999999998e-303 == ref.invert_tail(1e-151)
         assert gen.invert_tail(0.0) == 0.0
         assert gen.invert_tail(1.0) == 1.0

@@ -1,5 +1,6 @@
 """Step quantile arithmetic: construction, evaluation, norms, couplings."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -458,6 +459,24 @@ class TestTransforms:
         d = StepQuantile.from_samples([1.0, 3.0])
         assert d.shift(2.0).values.tolist() == [3.0, 5.0]
         assert d.scale(0.5).values.tolist() == [0.5, 1.5]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shift_scale_beyond_the_double_range_overflow(self):
+        # finite inputs whose image leaves the double range, at either end
+        d = StepQuantile([-1.7e308, 1.7e308], [0.9, 0.1])
+        for make in (lambda: d.shift(1e308), lambda: d.shift(-1e308), lambda: d.scale(10.0)):
+            with pytest.raises(OverflowError, match="largest double"):
+                make()
+        assert d.shift(5e306).values.tolist() == [-1.7e308 + 5e306, 1.7e308 + 5e306]
+        assert d.scale(0.5).values.tolist() == [-0.85e308, 0.85e308]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shift_scale_reject_nonfinite_arguments(self):
+        d = StepQuantile([0.0, 2.0], [0.5, 0.5])  # 0 * inf is invalid, not an overflow
+        for make in (lambda: d.shift(math.inf), lambda: d.shift(math.nan),
+                     lambda: d.scale(math.inf), lambda: d.scale(math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                make()
 
     def test_scale_zero_collapses(self):
         d = StepQuantile.from_samples([1.0, 3.0])
