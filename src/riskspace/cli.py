@@ -38,7 +38,7 @@ from .extremal import (
 from .kusuoka import load_measure, measure_to_dict, mu_from_sigma, sigma_from_mu
 from .risk import sigma_norm, sigma_norm_via_cdf, spectral_risk, spectral_risk_via_cdf
 from .spectrum import load_spectrum
-from .stepdist import InputFormatError, StepQuantile
+from .stepdist import InputFormatError, StepQuantile, read_samples_csv
 from .verify import run_suite
 
 #: exit code when the reader of stdout closes it early, as a shell reports SIGPIPE
@@ -81,8 +81,7 @@ def _load_spectrum_dir(path) -> list:
 
 
 def _cmd_eval(args) -> tuple[dict, int]:
-    sigma = load_spectrum(args.spectrum)
-    dist = StepQuantile.from_csv(args.samples)
+    sigma, dist = args.spectrum, args.samples
     compute = sigma_norm if args.norm else spectral_risk
     compute_cdf = sigma_norm_via_cdf if args.norm else spectral_risk_via_cdf
     if args.method == "both":
@@ -107,22 +106,17 @@ def _cmd_eval(args) -> tuple[dict, int]:
 
 
 def _cmd_norm(args) -> tuple[dict, int]:
-    sigma = load_spectrum(args.spectrum)
-    dist = StepQuantile.from_csv(args.samples)
-    return {"value": sigma_norm(sigma, dist), "method": _METHOD_NAMES["quantile"]}, 0
+    value = sigma_norm(args.spectrum, args.samples)
+    return {"value": value, "method": _METHOD_NAMES["quantile"]}, 0
 
 
 def _cmd_dual_norm(args) -> tuple[dict, int]:
-    sigma = load_spectrum(args.spectrum)
-    z = StepQuantile.from_csv(args.samples)
-    result = dual_norm(z, sigma)
+    result = dual_norm(args.samples, args.spectrum)
     return {"value": result.value, "attaining_alpha": result.attaining_alpha}, 0
 
 
 def _cmd_dominate(args) -> tuple[dict, int]:
-    sigma = load_spectrum(args.spectrum)
-    z = StepQuantile.from_csv(args.samples)
-    cert = dominates(z, sigma, args.eta)
+    cert = dominates(args.samples, args.spectrum, args.eta)
     payload = {
         "holds": cert.holds,
         "eta": args.eta,
@@ -143,7 +137,7 @@ def _cmd_kusuoka(args) -> tuple[dict, int]:
     if args.direction == "to-measure":
         if args.spectrum is None:
             raise InputFormatError("to-measure needs --spectrum")
-        mu = mu_from_sigma(load_spectrum(args.spectrum))
+        mu = mu_from_sigma(args.spectrum)
         return measure_to_dict(mu), 0
     if args.measure is None:
         raise InputFormatError("to-spectrum needs --measure")
@@ -173,7 +167,7 @@ def _cmd_embed(args) -> tuple[dict, int]:
 
 
 def _cmd_escape(args) -> tuple[dict, int]:
-    sigma = load_spectrum(args.spectrum)
+    sigma = args.spectrum
     if args.mode == "lp":
         esc = lp_escape(sigma, args.q, args.depth)
         payload = {
@@ -202,9 +196,8 @@ def _cmd_escape(args) -> tuple[dict, int]:
 
 
 def _cmd_diverge(args) -> tuple[dict, int]:
-    sigma = load_spectrum(args.spectrum)
-    dist = StepQuantile.from_csv(args.samples) if args.samples else heavy_tail_quantile(args.depth)
-    report = l1_divergence_demo(dist, sigma, target=args.target)
+    dist = args.samples if args.samples is not None else heavy_tail_quantile(args.depth)
+    report = l1_divergence_demo(dist, args.spectrum, target=args.target)
     payload = {
         "target": report.target,
         "exceeded_at": report.exceeded_at,
@@ -215,9 +208,7 @@ def _cmd_diverge(args) -> tuple[dict, int]:
 
 
 def _cmd_approx(args) -> tuple[dict, int]:
-    sigma = load_spectrum(args.spectrum)
-    dist = StepQuantile.from_csv(args.samples)
-    approx, error = step_density_approx(sigma, dist, args.epsilon)
+    approx, error = step_density_approx(args.spectrum, args.samples, args.epsilon)
     payload = {
         "epsilon": args.epsilon,
         "error": error,
@@ -348,6 +339,11 @@ def main(argv=None) -> int:
         print(f"error: --tol must be a nonnegative number, got {args.tol}", file=sys.stderr)
         return 2
     try:
+        # every handler gets --spectrum and then --samples read here, once
+        if getattr(args, "spectrum", None) is not None:
+            args.spectrum = load_spectrum(args.spectrum)
+        if getattr(args, "samples", None) is not None:
+            args.samples = StepQuantile.from_samples(*read_samples_csv(args.samples))
         payload, code = args.handler(args)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

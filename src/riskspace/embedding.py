@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kusuoka import _spectrum_set
 from .risk import avar
 from .spectrum import FALLBACK_GAPS, Spectrum, StepSpectrum
 from .stepdist import StepQuantile
@@ -100,19 +101,11 @@ def identity_norm(source_set, target_set) -> float:
     max over targets of min over sources of the pairwise constant bounds the
     identity norm between the sup-generated spaces.
     """
-    sources = tuple(source_set)
-    targets = tuple(target_set)
-    if not sources or not targets:
-        raise ValueError("spectrum sets must be nonempty")
-    worst = 0.0
-    for tgt in targets:
-        best = math.inf
-        for src in sources:
-            best = min(best, comparability_constant(src, tgt).value)
-            if best == 0.0:
-                break
-        worst = max(worst, best)
-    return float(worst)
+    sources = _spectrum_set(source_set)
+    return max(
+        min(comparability_constant(src, tgt).value for src in sources)
+        for tgt in _spectrum_set(target_set)
+    )
 
 
 def avar_sandwich_check(alpha_lo: float, alpha_hi: float, dist: StepQuantile) -> SandwichReport:

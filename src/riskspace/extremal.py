@@ -68,6 +68,17 @@ class DivergenceReport:
 BAND_PIECES = 8
 
 
+def _escape_exponent(sigma: Spectrum, q: float) -> tuple[float, float]:
+    """``(||sigma||_q**q, p)`` for an escape exponent ``q`` and its conjugate
+    ``p``; ``ValueError`` unless q lies in (1, inf) and sigma**q is integrable."""
+    if not 1.0 < q < math.inf:
+        raise ValueError("escape construction needs an exponent q in (1, inf)")
+    total = float(sigma.tail_power_integral(1.0, q))
+    if not math.isfinite(total) or total <= 0:
+        raise ValueError(f"sigma**{q:g} is not integrable; the construction needs ||sigma||_q < inf")
+    return total, q / (q - 1.0)
+
+
 def lp_escape(sigma: Spectrum, q: float, depth: int) -> LpEscape:
     """Truncation of the variable whose p-norm diverges inside the sigma ball.
 
@@ -84,14 +95,9 @@ def lp_escape(sigma: Spectrum, q: float, depth: int) -> LpEscape:
     """
     from scipy import special
 
-    if not 1.0 < q < math.inf:
-        raise ValueError("escape construction needs an exponent q in (1, inf)")
+    total, p = _escape_exponent(sigma, q)
     if depth < 1:
         raise ValueError("truncation depth must be at least 1")
-    total = float(sigma.tail_power_integral(1.0, q))
-    if not math.isfinite(total) or total <= 0:
-        raise ValueError(f"sigma**{q:g} is not integrable; the construction needs ||sigma||_q < inf")
-    p = q / (q - 1.0)
     zp1 = float(special.zeta(p + 1.0))
     # tail targets: integral of sigma**q over the top g_n of mass must equal
     # total * zeta(p+1, n+1)/zeta(p+1); the Hurwitz form avoids the
@@ -128,10 +134,7 @@ def lp_escape_limit(sigma: Spectrum, q: float) -> float:
     """Risk ceiling of the escape bands: ||sigma||_q**q zeta(p)/zeta(p+1)."""
     from scipy import special
 
-    if not 1.0 < q < math.inf:
-        raise ValueError("escape construction needs an exponent q in (1, inf)")
-    total = float(sigma.tail_power_integral(1.0, q))
-    p = q / (q - 1.0)
+    total, p = _escape_exponent(sigma, q)
     return total * float(special.zeta(p)) / float(special.zeta(p + 1.0))
 
 

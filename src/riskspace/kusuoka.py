@@ -20,8 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .risk import sigma_norm, spectral_risk
-from .spectrum import Spectrum, StepSpectrum
+from .risk import spectral_risk
+from .spectrum import Spectrum, StepSpectrum, _keep
 from .stepdist import StepQuantile
 
 #: constructor rejects weight totals further than this from 1
@@ -58,10 +58,7 @@ class KusuokaMeasure:
             raise ValueError(f"weights sum to {total:.12g}, not 1 within {WEIGHT_SUM_ATOL:g}")
         if total != 1.0:
             w /= total
-        lv.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "levels", lv)
-        object.__setattr__(self, "weights", w)
+        _keep(self, levels=lv, weights=w)
 
     def __repr__(self) -> str:
         atoms = ", ".join(f"({a:g}, {w:g})" for a, w in zip(self.levels, self.weights))
@@ -127,25 +124,24 @@ def mixture_risk(mu: KusuokaMeasure, dist: StepQuantile) -> float:
     return float(np.dot(mu.weights[below], tails) + top)
 
 
-def sup_risk(spectra: Iterable[Spectrum], dist: StepQuantile) -> tuple[float, int]:
-    """Supremum of member risks; returns (value, index of the first argmax)."""
+def _spectrum_set(spectra: Iterable[Spectrum]) -> tuple[Spectrum, ...]:
+    """The members of a spectrum set; ``ValueError`` when there are none."""
     members = tuple(spectra)
     if not members:
         raise ValueError("a spectrum set must be nonempty")
-    best, best_idx = -np.inf, 0
-    for i, sig in enumerate(members):
-        val = spectral_risk(sig, dist)
-        if val > best:
-            best, best_idx = val, i
-    return float(best), best_idx
+    return members
+
+
+def sup_risk(spectra: Iterable[Spectrum], dist: StepQuantile) -> tuple[float, int]:
+    """Supremum of member risks; returns (value, index of the first argmax)."""
+    risks = [spectral_risk(sig, dist) for sig in _spectrum_set(spectra)]
+    i = int(np.argmax(risks))
+    return risks[i], i
 
 
 def set_norm(spectra: Iterable[Spectrum], dist: StepQuantile) -> float:
-    """Supremum of the member norms over the set."""
-    members = tuple(spectra)
-    if not members:
-        raise ValueError("a spectrum set must be nonempty")
-    return float(max(sigma_norm(sig, dist) for sig in members))
+    """Supremum of the member norms over the set: the set risk of |Y|."""
+    return sup_risk(spectra, dist.abs())[0]
 
 
 # -- file representation ------------------------------------------------------

@@ -80,15 +80,16 @@ def _violations_of(at, vals, what: str, drop_tol: float, mass: float) -> list[Vi
 def _scalar_or_array(method):
     """The array contract: ``method`` sees its first argument as a float
     array of at least one dimension, and returns a float for a scalar and
-    otherwise an array that shares no memory with the argument (an identity
-    closed form returns its input, so that result is copied)."""
+    otherwise an array of the argument's shape that shares no memory with it
+    (an identity closed form returns its input, so that result is copied; a
+    scalar result is broadcast)."""
 
     @functools.wraps(method)
     def wrapper(self, x, *args, **kwargs):
         arr = np.asarray(x, dtype=float)
         out = method(self, np.atleast_1d(arr), *args, **kwargs)
         if type(out) is not np.ndarray or out.dtype != np.float64:
-            out = np.asarray(out, dtype=float)
+            out = np.broadcast_to(out, arr.shape or (1,)).astype(float)
         if arr.ndim == 0:
             return float(out[0])
         return out.copy() if np.may_share_memory(out, arr) else out
@@ -105,6 +106,14 @@ def _power_mean(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     if top > 0 and not sys.float_info.min <= power < math.inf:
         return top * float(np.dot((values / top) ** p, weights)) ** (1.0 / p)
     return float(power ** (1.0 / p))
+
+
+def _keep(obj, **attrs) -> None:
+    """Set attributes on a frozen object, making the arrays among them read-only."""
+    for name, value in attrs.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -234,14 +243,19 @@ class Spectrum:
 
     def lq_norm(self, q: float) -> float:
         """||sigma||_q: ``density_sup`` at q = inf, else the total power
-        integral to the power 1/q (inf where sigma**q is not integrable)."""
+        integral to the power 1/q (inf where sigma**q is not integrable), with
+        one Newton step, as the rounding of 1/q moves it by up to log(total)/q ulp."""
         if q < 1:
             raise ValueError("Lq norms need q >= 1")
         if math.isinf(q):
             if self.density_sup is None:
                 raise ValueError("lq_norm(inf) needs a declared density_sup")
             return float(self.density_sup)
-        return float(self.tail_power_integral(1.0, q)) ** (1.0 / q)
+        total = float(self.tail_power_integral(1.0, q))
+        root = total ** (1.0 / q)
+        if 0.0 < total < math.inf:
+            root += root * (total / root**q - 1.0) / q
+        return root
 
     # -- power integrals for the extremal constructions -------------------
 
@@ -334,20 +348,12 @@ class StepSpectrum(Spectrum):
             factor = 1.0 / integral
             vals *= factor
             log.debug("rescaled step spectrum by %.17g", factor)
-        bp.setflags(write=False)
-        vals.setflags(write=False)
-        widths.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "rescale_factor", factor)
-        object.__setattr__(self, "_widths", widths)  # read by _check and lq_norm
-        object.__setattr__(self, "_mass", integral * factor)
+        _keep(self, breakpoints=bp, values=vals, rescale_factor=factor,
+              _widths=widths,  # read by _check and lq_norm
+              _mass=integral * factor, kink_gaps=1.0 - bp[::-1])
         # the density as a step function of the gap: cell k, the gaps of
         # [b[k], b[k+1]), is (1 - b[k+1], 1 - b[k]]
-        gap_nodes = 1.0 - bp
-        gap_nodes.setflags(write=False)
-        object.__setattr__(self, "_steps", _GapSteps(gap_nodes, vals))
-        object.__setattr__(self, "kink_gaps", gap_nodes[::-1])
+        _keep(self, _steps=_GapSteps(self.kink_gaps[::-1], vals))
         self.require_valid()
 
     def __repr__(self) -> str:  # keep ndarray fields readable
@@ -414,7 +420,7 @@ class AvarSpectrum(StepSpectrum):
             super().__init__([0.0, 1.0], [1.0])
         else:
             super().__init__([0.0, level, 1.0], [0.0, 1.0 / (1.0 - level)])
-        object.__setattr__(self, "level", level)
+        _keep(self, level=level)
 
     def __repr__(self) -> str:
         return f"AvarSpectrum(level={self.level!r})"

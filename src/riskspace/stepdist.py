@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectrum import Spectrum, StepSpectrum, _GapSteps, _power_mean, _scalar_or_array, _suffix_sums
+from .spectrum import (Spectrum, StepSpectrum, _GapSteps, _keep, _power_mean, _scalar_or_array,
+                       _suffix_sums)
 
 
 class InputFormatError(ValueError):
@@ -62,14 +63,8 @@ class StepQuantile:
             mass /= total
             if mass.min() == 0.0:
                 raise ValueError("a segment mass underflows to 0 when normalised")
-        vals.setflags(write=False)
-        mass.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "masses", mass)
         # suffix sums: tail_masses[k] is the mass strictly above segment k-1
-        tails = _suffix_sums(mass)
-        tails.setflags(write=False)
-        object.__setattr__(self, "tail_masses", tails)
+        _keep(self, values=vals, masses=mass, tail_masses=_suffix_sums(mass))
 
     def __repr__(self) -> str:
         return f"StepQuantile(values={self.values.tolist()}, masses={self.masses.tolist()})"
@@ -126,11 +121,6 @@ class StepQuantile:
         dist = object.__new__(cls)
         dist._own(vals, mass)
         return dist
-
-    @classmethod
-    def from_csv(cls, path) -> "StepQuantile":
-        values, weights = read_samples_csv(path)
-        return cls.from_samples(values, weights)
 
     # -- derived views ----------------------------------------------------
 
@@ -258,9 +248,7 @@ class PairedSample:
             raise ValueError("weights must be strictly positive and finite")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        for arr, name in ((y, "y"), (z, "z"), (w, "w")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _keep(self, y=y, z=z, w=w)
 
     def __repr__(self) -> str:
         return f"PairedSample(n={self.y.size})"

@@ -73,6 +73,18 @@ class TestEval:
             payload["cdf-tail-integral"], abs=1e-9
         )
 
+    def test_methods_disagreeing_beyond_tol_exit_one(self, files, capsys, monkeypatch):
+        monkeypatch.setattr("riskspace.cli.spectral_risk_via_cdf", lambda sigma, dist: 0.0)
+        code, payload, err = run(
+            capsys, "eval", "--spectrum", files / "avar05.json",
+            "--samples", files / "four.csv", "--method", "both",
+        )
+        assert code == 1
+        assert "methods disagree" in err
+        assert payload["quantile-integral"] == 3.5
+        assert payload["cdf-tail-integral"] == 0.0
+        assert payload["difference"] == 3.5
+
     def test_weights_whose_total_overflows(self, files, tmp_path, capsys):
         (tmp_path / "huge.csv").write_text("1,1e308\n2,1e308\n")
         (tmp_path / "mean.json").write_text(json.dumps({"kind": "avar", "alpha": 0.0}))
@@ -212,6 +224,10 @@ class TestKusuoka:
         assert code == 2
         assert payload is None
         assert "--spectrum" in err
+        code, payload, err = run(capsys, "kusuoka", "to-spectrum")
+        assert code == 2
+        assert payload is None
+        assert "--measure" in err
 
 
 class TestEmbed:
@@ -287,6 +303,16 @@ class TestEscape:
         assert payload is None
         assert "below the smallest positive double" in err
         assert "Geometric" not in err
+
+    def test_linf_mode_band_below_the_double_range(self, files, capsys):
+        # AVaR(0.5) puts band n at gap 2**-(n+1), which is 0 beyond n = 1074
+        code, payload, err = run(
+            capsys, "escape", "--spectrum", files / "avar05.json",
+            "--mode", "linf", "--depth", "1100",
+        )
+        assert code == 2
+        assert payload is None
+        assert "band boundaries collapsed" in err
 
     def test_linf_mode(self, files, capsys):
         code, payload, _ = run(
@@ -438,6 +464,46 @@ class TestFailureExits:
         )
         assert code == 2
         assert "line 3" in err
+
+    def test_ragged_row_reports_line(self, files, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,0.5\n2\n")
+        code, payload, err = run(
+            capsys, "norm", "--spectrum", files / "avar05.json", "--samples", bad
+        )
+        assert code == 2
+        assert payload is None
+        assert "line 2: inconsistent column count" in err
+
+    def test_blank_lines_and_header_skipped(self, files, tmp_path, capsys):
+        padded = tmp_path / "padded.csv"
+        padded.write_text("value\n\n1\n2\n\n3\n4\n\n")
+        code, payload, _ = run(
+            capsys, "eval", "--spectrum", files / "avar05.json", "--samples", padded
+        )
+        assert code == 0
+        assert payload["value"] == 3.5
+
+    @pytest.mark.parametrize("text", ["\n\n\n", "value,weight\n", "value\n\n"])
+    def test_file_without_observations(self, files, tmp_path, capsys, text):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        code, payload, err = run(
+            capsys, "norm", "--spectrum", files / "avar05.json", "--samples", empty
+        )
+        assert code == 2
+        assert payload is None
+        assert "no observations found" in err
+
+    def test_spectrum_read_before_samples(self, files, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": "cauchy"}))
+        code, payload, err = run(
+            capsys, "norm", "--spectrum", bad, "--samples", files / "nope.csv"
+        )
+        assert code == 2
+        assert payload is None
+        assert "unknown spectrum kind" in err
 
     def test_nonfinite_first_row_reports_line(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

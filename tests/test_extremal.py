@@ -36,6 +36,12 @@ class TestLpEscape:
             oracle = float(mpmath.sqrt(2) * mpmath.zeta(3) / mpmath.zeta(4))
         assert lp_escape_limit(PowerSqrtSpectrum(), 1.5) == pytest.approx(oracle, rel=1e-13)
 
+    @pytest.mark.parametrize("q", [2.0, 2.5])
+    def test_limit_needs_an_integrable_power(self, q):
+        # sigma**q is integrable for power-sqrt only below q = 2
+        with pytest.raises(ValueError, match="not integrable"):
+            lp_escape_limit(PowerSqrtSpectrum(), q)
+
     def test_risks_climb_toward_the_limit(self):
         sigma = PowerSqrtSpectrum()
         limit = lp_escape_limit(sigma, 1.5)
