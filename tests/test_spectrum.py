@@ -496,12 +496,18 @@ class TestDerivedForms:
             got = PowerSqrtSpectrum().lq_norm(q)
             return float(abs(got - exact) / math.ulp(float(exact)))
 
-    @given(st.one_of(st.floats(1.0, 2.0, exclude_max=True),
-                     st.integers(1, 60).map(lambda k: 2.0 - k * 2.0**-52)))
-    @settings(max_examples=500, deadline=None)
+    @given(st.floats(1.0, 1.9))
+    @settings(max_examples=300, deadline=None)
     def test_power_sqrt_lq_norm_within_two_ulp_of_mpmath(self, q):
+        assert self._ulps_from_mpmath(q) <= 2.0
+
+    @given(st.one_of(st.floats(1.9, 2.0, exclude_max=True),
+                     st.integers(1, 60).map(lambda k: 2.0 - k * 2.0**-52)))
+    @settings(max_examples=300, deadline=None)
+    def test_power_sqrt_lq_norm_near_two_within_its_conditioning(self, q):
         # the total grows without bound as q -> 2, where the rounding of 1/q
-        # alone would move total**(1/q) by up to log(total)/q ulp
+        # alone would move total**(1/q) by up to log(total)/q ulp; the norm
+        # stays within 2 ulp all the same, the last 60 doubles below 2 included
         assert self._ulps_from_mpmath(q) <= 2.0
 
     def test_not_integrable_power_sqrt(self):
