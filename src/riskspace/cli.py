@@ -152,11 +152,7 @@ def _cmd_embed(args) -> tuple[dict, int]:
         raise InputFormatError("give either --from/--to or --set-from/--set-to")
     if pair:
         result = comparability_constant(load_spectrum(args.from_), load_spectrum(args.to))
-        return {
-            "constant": result.value,
-            "attaining_alpha": result.attaining_alpha,
-            "limit_unverified": result.limit_unverified,
-        }, 0
+        return {"constant": result.value, "attaining_alpha": result.attaining_alpha}, 0
     sources = _load_spectrum_dir(args.set_from)
     targets = _load_spectrum_dir(args.set_to)
     return {

@@ -7,10 +7,10 @@ indicators.  ``S_target(1 - g)`` is the top-``g`` integral of
 source, and the lemma of the ``dual`` module applies: a step target's
 ``S_target`` is linear between its gap nodes with a nonnegative intercept,
 the source's is concave, so the ratio peaks at a node, whatever the source.
-Another target is scanned on ``FALLBACK_GAPS``; its ``a -> 1`` limit is
-``sigma_target(1-) / sigma_source(1-)`` by l'Hopital, read from the two
-``density_sup`` and undetermined when either is undeclared or both are
-infinite.  Such a result is exact only when that limit is infinite.
+A target that is not a step spectrum has an exact constant in one case: its
+``density_sup`` is infinite and the source's finite, so the ``a -> 1`` limit
+``sigma_target(1-) / sigma_source(1-)`` (l'Hopital) is infinite.  Every other
+pair raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .kusuoka import _spectrum_set
 from .risk import avar
-from .spectrum import FALLBACK_GAPS, Spectrum, StepSpectrum
+from .spectrum import Spectrum, StepSpectrum
 from .stepdist import StepQuantile
 
 #: AVaR sandwich inequalities may undershoot by this much and still certify
@@ -31,19 +31,14 @@ SANDWICH_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class EmbeddingConstant:
-    """Best constant of one spectral norm against another.
+    """Best constant of one spectral norm against another, exact.
 
     ``attaining_alpha`` locates the supremum of the tail-weight ratio, with
-    1.0 standing for the ``a -> 1`` limit.  ``limit_unverified`` marks a
-    mesh lower bound: the target is not a step spectrum and the
-    l'Hopital limit ``sigma_target(1-) / sigma_source(1-)`` is finite or
-    undetermined.  Against a step target, an infinite limit, or the source
-    itself, the constant is exact.
+    1.0 standing for the ``a -> 1`` limit.
     """
 
     value: float
     attaining_alpha: float
-    limit_unverified: bool = False
 
 
 @dataclass(frozen=True)
@@ -59,27 +54,24 @@ class SandwichReport:
 def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConstant:
     """Smallest c with ||Y||_target <= c ||Y||_source, as sup of tail ratios.
 
-    Exact for a step target (scanned at its positive gap nodes only), for an
-    infinite l'Hopital limit, and for ``c(sigma, sigma) = 1``; otherwise a
-    mesh lower bound flagged ``limit_unverified``.
+    Exact in three cases: ``c(sigma, sigma) = 1``, a step target (scanned at
+    its positive gap nodes only), and an unbounded target over a bounded
+    source (``inf`` at level 1).  ``TypeError`` for every other pair.
     """
     if source == target:
         return EmbeddingConstant(1.0, 0.0)
-    limit, unverified = -math.inf, False
     if isinstance(target, StepSpectrum):
         gaps = target.kink_gaps[:0:-1]
-    else:
-        gaps = FALLBACK_GAPS
-        sups = (source.density_sup, target.density_sup)
-        # undetermined when undeclared or infinite over infinite
-        if None not in sups and not math.isinf(min(sups)):
-            limit = sups[1] / sups[0]
-        unverified = limit < math.inf
-    ratio = target.tail_from_gap(gaps) / source.tail_from_gap(gaps)
-    i = int(np.argmax(ratio))
-    if limit > ratio[i]:
-        return EmbeddingConstant(limit, 1.0, unverified)
-    return EmbeddingConstant(float(ratio[i]), float(1.0 - gaps[i]), unverified)
+        ratio = target.tail_from_gap(gaps) / source.tail_from_gap(gaps)
+        i = int(np.argmax(ratio))
+        return EmbeddingConstant(float(ratio[i]), float(1.0 - gaps[i]))
+    sup = source.density_sup
+    if target.density_sup == math.inf and sup is not None and sup < math.inf:
+        return EmbeddingConstant(math.inf, 1.0)
+    raise TypeError(
+        f"comparability from {type(source).__name__} to {type(target).__name__} is exact "
+        "only for a step target (apply step_approx) or an unbounded one over a bounded source"
+    )
 
 
 def sharpness_witness(source: Spectrum, target: Spectrum, level: float) -> float:

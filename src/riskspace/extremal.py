@@ -19,6 +19,7 @@ every divergence conclusion drawn from these outputs is conservative.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,12 +71,16 @@ BAND_PIECES = 8
 
 def _escape_exponent(sigma: Spectrum, q: float) -> tuple[float, float]:
     """``(||sigma||_q**q, p)`` for an escape exponent ``q`` and its conjugate
-    ``p``; ``ValueError`` unless q lies in (1, inf) and sigma**q is integrable."""
+    ``p``; ``ValueError`` unless q lies in (1, inf), sigma**q is integrable
+    and its integral is a double."""
     if not 1.0 < q < math.inf:
         raise ValueError("escape construction needs an exponent q in (1, inf)")
     total = float(sigma.tail_power_integral(1.0, q))
+    sup = sigma.density_sup
+    if total == math.inf and sup is not None and sup < math.inf:
+        raise ValueError(f"||sigma||_q**q exceeds the largest double at q = {q!r}")
     if not math.isfinite(total) or total <= 0:
-        raise ValueError(f"sigma**{q:g} is not integrable; the construction needs ||sigma||_q < inf")
+        raise ValueError(f"sigma**{q!r} is not integrable; the construction needs ||sigma||_q < inf")
     return total, q / (q - 1.0)
 
 
@@ -106,7 +111,7 @@ def lp_escape(sigma: Spectrum, q: float, depth: int) -> LpEscape:
     gaps = np.concatenate([[1.0], sigma.invert_tail_power(tail_targets, q)])
     if np.any(np.diff(gaps) >= 0):
         raise ValueError(
-            f"band boundaries collapsed at depth {depth}; the sigma**{q:g} tail "
+            f"band boundaries collapsed at depth {depth}; the sigma**{q!r} tail "
             "is too thin to resolve in double precision"
         )
     # descending piece edges from 1 down to g_depth, every band gap among them
@@ -181,10 +186,10 @@ def heavy_tail_quantile(depth: int) -> StepQuantile:
 def l1_divergence_demo(dist: StepQuantile, sigma: Spectrum, target: float) -> DivergenceReport:
     """Truncate |Y| at growing levels until the L1 norm passes ``target``.
 
-    Levels double from 1.  Every row satisfies the Chebyshev bound
-    ||Y_n||_sigma >= ||Y_n||_1; a bounded input saturates at its maximum,
-    and if the target is still unmet the demo is vacuous (the truncations
-    converged; nothing diverges).
+    Levels double from 1, the last one capped at the largest double.  Every
+    row satisfies the Chebyshev bound ||Y_n||_sigma >= ||Y_n||_1; a bounded
+    input saturates at its maximum, and if the target is still unmet the
+    demo is vacuous (the truncations converged; nothing diverges).
     """
     if not target > 0:
         raise ValueError("divergence target must be positive")
@@ -199,7 +204,7 @@ def l1_divergence_demo(dist: StepQuantile, sigma: Spectrum, target: float) -> Di
             return DivergenceReport(tuple(rows), float(target), level, False)
         if level >= mag.max_value:
             return DivergenceReport(tuple(rows), float(target), None, True)
-        level *= 2.0
+        level = min(2.0 * level, sys.float_info.max)
 
 
 def step_density_approx(

@@ -28,7 +28,7 @@ log = logging.getLogger(__name__)
 #: spectra are rescaled to unit mass when within this of 1, rejected otherwise
 NORMALIZATION_ATOL = 1e-10
 
-#: geometric gap mesh scanned where a spectrum declares no exact structure
+#: geometric gap mesh on which a GeneralSpectrum's closed forms are validated
 FALLBACK_GAPS = np.geomspace(1.0, 1e-12, 4096)
 FALLBACK_GAPS.setflags(write=False)
 
@@ -471,9 +471,8 @@ class GeneralSpectrum(Spectrum):
     ``tail_power_fn(g, q)`` is the integral of sigma**q over the top ``g``,
     ``inf`` where sigma**q is not integrable; ``tail_power_integral`` and
     ``lq_norm`` need it for every q other than 1.  The optional
-    ``density_sup`` is sigma(1-): ``lq_norm(inf)`` returns it, and it gives
-    ``comparability_constant`` its ``a -> 1`` limit against a general target;
-    the dual scans need none of it.  No quadrature is involved.  The
+    ``density_sup`` is sigma(1-): ``lq_norm(inf)`` returns it; the dual
+    scans need none of it.  No quadrature is involved.  The
     constructor reads the density on ``FALLBACK_GAPS`` and rejects a
     spectrum found negative, decreasing or off unit mass there.
     """

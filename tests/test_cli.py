@@ -238,6 +238,7 @@ class TestEmbed:
         assert code == 0
         assert payload["constant"] == pytest.approx(5.0, abs=2e-15)
         assert payload["attaining_alpha"] == 0.9
+        assert set(payload) == {"constant", "attaining_alpha"}
 
     def test_infinite_constant_serialized_as_string(self, files, capsys):
         code, payload, _ = run(
@@ -342,6 +343,16 @@ class TestDiverge:
         assert code == 0
         assert payload["vacuous"] is True
         assert payload["exceeded_at"] is None
+
+    def test_levels_stay_finite_up_to_the_largest_double(self, files, capsys):
+        (files / "huge.csv").write_text("1.5e308\n1\n")
+        code, payload, _ = run(
+            capsys, "diverge", "--spectrum", files / "flat.json",
+            "--samples", files / "huge.csv", "--target", "1e308",
+        )
+        assert code == 0
+        assert payload["vacuous"] is True
+        assert payload["rows"][-1]["level"] == sys.float_info.max
 
     def test_nan_target_is_a_usage_error(self, files, capsys):
         code, payload, err = run(
@@ -455,6 +466,24 @@ class TestFailureExits:
         assert code == 2
         assert payload is None
         assert err != ""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "must be an object with a 'kind' field"),
+            ({"kind": "avar"}, "avar spectrum needs an 'alpha' field"),
+            ({"kind": "step", "values": [1.0]}, "step spectrum needs 'breakpoints' and 'values'"),
+        ],
+    )
+    def test_incomplete_spectrum_document(self, files, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, payload, err = run(
+            capsys, "norm", "--spectrum", bad, "--samples", files / "four.csv"
+        )
+        assert code == 2
+        assert payload is None
+        assert message in err
 
     def test_malformed_csv_reports_line(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -92,8 +92,8 @@ def reference_constant(source, target):
     ratio = target.tail_from_gap(gaps) / source.tail_from_gap(gaps)
     i = int(np.argmax(ratio))
     if limit > ratio[i]:
-        return EmbeddingConstant(limit, 1.0, dense)
-    return EmbeddingConstant(float(ratio[i]), float(1.0 - gaps[i]), dense)
+        return EmbeddingConstant(limit, 1.0)
+    return EmbeddingConstant(float(ratio[i]), float(1.0 - gaps[i]))
 
 
 def deep_step(rng):
@@ -127,7 +127,6 @@ class TestStepTargets:
         reference = reference_constant(source, target)
         # a max over a subset of the reference's gaps, short by rounding only
         assert result.value <= reference.value <= result.value + 4 * math.ulp(result.value)
-        assert not result.limit_unverified
         assert 1.0 - result.attaining_alpha in target.kink_gaps[1:]
         # the constant is the dual gauge of sigma_target(U) under the source
         z = StepQuantile(target.values, np.diff(target.breakpoints))
@@ -142,7 +141,6 @@ class TestPairwiseConstants:
         assert result.value == (1.0 - 0.5) / (1.0 - 0.9)
         assert result.value == pytest.approx(5.0, abs=2e-15)
         assert result.attaining_alpha == 0.9
-        assert not result.limit_unverified
 
     def test_avar_pair_with_representable_gaps_is_literal(self):
         assert comparability_constant(AvarSpectrum(0.5), AvarSpectrum(0.75)).value == 2.0
@@ -179,61 +177,57 @@ class TestPairwiseConstants:
             source, target = random_step(rng), random_step(rng)
             exact = comparability_constant(source, target)
             assert exact.value == pytest.approx(grid_ratio_sup(source, target), abs=1e-9)
-            assert not exact.limit_unverified
 
     def test_general_spectra_get_flagged(self):
         # a step target is scanned exactly at its nodes, whatever the source
         result = comparability_constant(SQRT_LIKE, AvarSpectrum(0.75))
-        assert not result.limit_unverified
         assert result.value == pytest.approx(2.0, rel=1e-9)
 
     def test_general_gap_form_stays_below_the_true_sup(self):
-        # S(1 - g) / g = (2 - g/2) / 1.5 rises to 4/3 as g -> 0; the fallback
-        # mesh reaches g = 1e-12, where a level-form tail read at 1 - g gave
-        # 1.333395355618737, above the supremum
+        # S(1 - g) / g = (2 - g/2) / 1.5 rises to 4/3 as g -> 0, a supremum
+        # no finite scan attains; without an infinite a -> 1 limit there is
+        # no exact constant against a target that is not a step spectrum
         rising = GeneralSpectrum(
             gap_density_fn=lambda g: (2.0 - g) / 1.5,
             gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
         )
-        result = comparability_constant(FLAT, rising)
-        assert 4.0 / 3.0 * (1.0 - 1e-12) <= result.value <= 4.0 / 3.0
-        assert result.limit_unverified
+        with pytest.raises(TypeError, match="from StepSpectrum to GeneralSpectrum"):
+            comparability_constant(FLAT, rising)
 
     def test_declared_limit_against_the_scan(self):
         # a finite limit below the scanned sup loses: S_avar / sqrt(g) -> 0
         assert comparability_constant(PowerSqrtSpectrum(), AvarSpectrum(0.75)) == (
-            EmbeddingConstant(2.0, 0.75, False)
+            EmbeddingConstant(2.0, 0.75)
         )
-        # sigma(u) = (1 + u) / 1.5 has S(1 - g) / g = (2 - g/2) / 1.5 < 4/3 on
-        # every scanned gap, so its declared limit sigma(1-) = 4/3 wins at level 1
+        # sigma(u) = (1 + u) / 1.5 declares its finite limit sigma(1-) = 4/3;
+        # a finite limit over a finite one is no exact constant, so it raises
         rising = GeneralSpectrum(
             gap_density_fn=lambda g: (2.0 - g) / 1.5,
             gap_tail_fn=lambda g: (2.0 * g - g**2 / 2.0) / 1.5,
             density_sup=4.0 / 3.0,
         )
-        assert comparability_constant(FLAT, rising) == EmbeddingConstant(4.0 / 3.0, 1.0, True)
+        with pytest.raises(TypeError, match="from StepSpectrum to GeneralSpectrum"):
+            comparability_constant(FLAT, rising)
         # against a step target the source's undeclared limit does not matter
         assert comparability_constant(SQRT_BARE, AvarSpectrum(0.75)) == (
-            EmbeddingConstant(2.0, 0.75, False)
+            EmbeddingConstant(2.0, 0.75)
         )
 
     def test_non_step_targets_take_the_limit_from_density_sup(self):
         # sigma_target(1-) / sigma_source(1-) by l'Hopital; a spectrum against
         # itself is 1 exactly, though inf / inf leaves the limit undetermined
         power = PowerSqrtSpectrum()
-        assert comparability_constant(power, PowerSqrtSpectrum()) == (
-            EmbeddingConstant(1.0, 0.0, False)
-        )
-        assert comparability_constant(power, SQRT_LIKE) == EmbeddingConstant(1.0, 0.0, True)
-        assert comparability_constant(FLAT, power) == EmbeddingConstant(math.inf, 1.0, False)
-        assert comparability_constant(FLAT, SQRT_LIKE) == EmbeddingConstant(math.inf, 1.0, False)
-        # undeclared: the scan of the mesh, from gap 1 down to 1e-12, stands flagged
-        assert FALLBACK_GAPS[0] == 1.0
-        assert FALLBACK_GAPS[-1] == pytest.approx(1e-12, rel=1e-12)
-        ratio = np.sqrt(FALLBACK_GAPS) / FLAT.tail_from_gap(FALLBACK_GAPS)
-        assert comparability_constant(FLAT, SQRT_BARE) == (
-            EmbeddingConstant(float(ratio[-1]), float(1.0 - FALLBACK_GAPS[-1]), True)
-        )
+        assert comparability_constant(power, PowerSqrtSpectrum()) == EmbeddingConstant(1.0, 0.0)
+        with pytest.raises(TypeError, match="from PowerSqrtSpectrum to GeneralSpectrum"):
+            comparability_constant(power, SQRT_LIKE)
+        assert comparability_constant(FLAT, power) == EmbeddingConstant(math.inf, 1.0)
+        assert comparability_constant(FLAT, SQRT_LIKE) == EmbeddingConstant(math.inf, 1.0)
+        # an undeclared density_sup leaves the limit undetermined
+        with pytest.raises(TypeError, match="from StepSpectrum to GeneralSpectrum"):
+            comparability_constant(FLAT, SQRT_BARE)
+        # the identity norm takes its pairwise constants, errors included
+        with pytest.raises(TypeError):
+            identity_norm([FLAT, power], [SQRT_LIKE])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

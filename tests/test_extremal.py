@@ -1,6 +1,7 @@
 """Separation constructions: Lp escape, bounded-risk unbounded stacks, L1 blowup."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -108,6 +109,24 @@ class TestLpEscape:
         # sigma**2 has no finite integral for the square-root spectrum
         with pytest.raises(ValueError):
             lp_escape(PowerSqrtSpectrum(), 2.0, 5)
+
+    def test_power_integral_beyond_the_double_range(self):
+        # AVaR(0.5) is bounded, ||sigma||_1500 = 1.99908, yet ||sigma||_q**q
+        # = 2**1499 is past the largest double: the error names the overflow
+        # and not integrability
+        sigma = AvarSpectrum(0.5)
+        assert sigma.lq_norm(1500.0) == pytest.approx(1.99908, abs=1e-5)
+        overflow = r"exceeds the largest double at q = 1500\.0"
+        with pytest.raises(ValueError, match=overflow):
+            lp_escape(sigma, 1500.0, 3)
+        with pytest.raises(ValueError, match=overflow):
+            lp_escape_limit(sigma, 1500.0)
+
+    def test_band_collapse_names_the_exponent_in_full(self):
+        # q = 1 + 1e-10 puts the bands of AVaR(0.5) closer than a double
+        # resolves; the message spells q out instead of rounding it to 1
+        with pytest.raises(ValueError, match=r"sigma\*\*1\.0000000001 tail"):
+            lp_escape(AvarSpectrum(0.5), 1.0000000001, 3)
 
     def test_band_gap_below_the_double_range_is_a_riskspace_error(self):
         # at q = 1.999 the first band's gap is about 1e-1549; the inverse
@@ -333,6 +352,16 @@ class TestDivergenceDemo:
         assert report.vacuous
         assert report.exceeded_at is None
         assert report.rows[-1].l1 == pytest.approx(1.5, abs=1e-15)
+
+    def test_last_level_is_capped_at_the_largest_double(self):
+        # doubling from 1 passes 2**1023 below the maximum 1.5e308 and would
+        # then reach inf; every level but the last stays an exact power of two
+        report = l1_divergence_demo(StepQuantile.from_samples([1.5e308, 1.0]), FLAT, 1e308)
+        levels = [row.level for row in report.rows]
+        assert levels[:-1] == [2.0**k for k in range(1024)]
+        assert levels[-1] == sys.float_info.max
+        assert report.rows[-1].l1 == 7.5e307
+        assert report.vacuous
 
     def test_target_must_be_strictly_exceeded(self):
         # clipping at 4 gives l1 exactly 2, which does not strictly exceed

@@ -201,6 +201,13 @@ class TestMeasureValidation:
         levels[1], weights[1] = 0.9, 0.1
         assert mu.atoms() == [(0.0, 0.5), (0.5, 0.5)]
 
+    @pytest.mark.parametrize(
+        "levels, weights", [([0.0, 0.5], [1.0]), ([], []), ([[0.0]], [[1.0]])]
+    )
+    def test_shapes_are_checked(self, levels, weights):
+        with pytest.raises(ValueError, match="equal-length, nonempty 1-d arrays"):
+            KusuokaMeasure(levels, weights)
+
     def test_levels_bounded(self):
         with pytest.raises(ValueError):
             KusuokaMeasure(np.array([1.2]), np.array([1.0]))

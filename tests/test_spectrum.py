@@ -231,6 +231,17 @@ class TestStepSpectrum:
         assert type(caught.value) is ValueError
         assert str(caught.value) == "step values must be finite"
 
+    @pytest.mark.parametrize(
+        "bp, values, message",
+        [
+            ([0.0, 0.5, 1.0], [1.0], "need n\\+1 breakpoints"),
+            ([0.1, 1.0], [1.0], "must start at 0"),
+        ],
+    )
+    def test_breakpoint_layout_is_checked_first(self, bp, values, message):
+        with pytest.raises(ValueError, match=message):
+            StepSpectrum(bp, values)
+
     def test_nan_breakpoint_is_not_increasing(self):
         # NaN fails every comparison, so only a positive test catches it
         for bp in ([0.0, math.nan, 1.0], [0.0, 0.5, math.nan, 1.0]):
@@ -689,6 +700,21 @@ class TestStepApprox:
         approx, factor = step_approx(s, 12)
         assert approx is s
         assert factor == 1.0
+
+    @pytest.mark.parametrize(
+        "cells, message", [(0, "at least one mesh cell"), (51, "collide beyond 50 cells")]
+    )
+    def test_cell_count_domain(self, cells, message):
+        with pytest.raises(ValueError, match=message):
+            step_approx(PowerSqrtSpectrum(), cells)
+
+    def test_zero_density_at_level_zero_leaves_no_mass(self):
+        # sigma(u) = 2u: one cell carries its infimum sigma(0) = 0
+        rising = GeneralSpectrum(
+            gap_density_fn=lambda g: 2.0 * (1.0 - g), gap_tail_fn=lambda g: g * (2.0 - g)
+        )
+        with pytest.raises(ValueError, match="zero mass"):
+            step_approx(rising, 1)
 
     def test_refinement_validates_and_tightens(self):
         coarse, f_coarse = step_approx(PowerSqrtSpectrum(), 4)

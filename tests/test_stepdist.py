@@ -247,6 +247,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StepQuantile.from_samples([])
 
+    @pytest.mark.parametrize(
+        "values, masses", [([1.0, 2.0], [1.0]), ([], []), ([[1.0, 2.0]], [[0.5, 0.5]])]
+    )
+    def test_direct_construction_checks_shapes(self, values, masses):
+        with pytest.raises(ValueError, match="equal-length, nonempty 1-d arrays"):
+            StepQuantile(values, masses)
+
+    def test_from_samples_rejects_mismatched_weights(self):
+        with pytest.raises(ValueError, match="weights must match the sample"):
+            StepQuantile.from_samples([1.0, 2.0], [1.0])
+
+    def test_negative_scale_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            StepQuantile([1.0], [1.0]).scale(-1.0)
+
+    @pytest.mark.parametrize(
+        "y, z, w",
+        [([1.0, 2.0], [1.0], [0.5, 0.5]), ([], [], []), ([[1.0]], [[1.0]], [[1.0]])],
+    )
+    def test_paired_sample_checks_shapes(self, y, z, w):
+        with pytest.raises(ValueError, match="equal-length nonempty y, z, w"):
+            PairedSample(y, z, w)
+
     @pytest.mark.parametrize("masses", [[0.5, 0.25, 0.25], [1.0]])
     def test_from_segments_rejects_mismatched_lengths(self, masses):
         # with every mass positive no boolean gather checks the lengths

@@ -1,10 +1,13 @@
 """The self-check suite: roster integrity, determinism, green margins."""
 
 import json
+import math
 
 import pytest
 
-from riskspace.verify import roster, run_suite
+from riskspace import verify
+from riskspace.cli import main
+from riskspace.verify import Invariant, roster, run_suite
 
 REQUIRED_IDS = {
     "chebyshev-l1",
@@ -67,6 +70,25 @@ class TestRunSuite:
         a = json.dumps(run_suite(seed=3, cases=2), sort_keys=True)
         b = json.dumps(run_suite(seed=3, cases=2), sort_keys=True)
         assert a == b
+
+    def test_failures_and_nan_margins_are_counted(self, monkeypatch):
+        monkeypatch.setattr(verify, "_REGISTRY", [
+            Invariant("fails", "margin -1", lambda rng: -1.0),
+            Invariant("nan", "margin NaN", lambda rng: math.nan),
+        ])
+        report = run_suite(seed=0, cases=3)
+        fails, nan = report["invariants"]
+        assert (fails["passes"], fails["failures"], fails["worst_margin"]) == (0, 3, -1.0)
+        # a NaN margin fails the case and pins the worst margin at -inf
+        assert (nan["passes"], nan["failures"], nan["worst_margin"]) == (0, 3, -math.inf)
+        assert report["failures_total"] == 6
+
+    def test_failed_cases_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "_REGISTRY", [Invariant("fails", "margin -1", lambda rng: -1.0)])
+        assert main(["verify", "--cases", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "2 invariant case(s) failed" in captured.err
+        assert json.loads(captured.out)["failures_total"] == 2
 
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
