@@ -56,17 +56,8 @@ def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         out = obj.tolist()  # one conversion; entries need mapping only if some are not finite
         return out if np.isfinite(obj).all() else _jsonify(out)
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isfinite(x):
-            return x
-        if math.isnan(x):
-            return "nan"
-        return "inf" if x > 0 else "-inf"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 

@@ -57,6 +57,8 @@ def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConst
     Exact in three cases: ``c(sigma, sigma) = 1``, a step target (scanned at
     its positive gap nodes only), and an unbounded target over a bounded
     source (``inf`` at level 1).  ``TypeError`` for every other pair.
+    ``c(sigma, sigma)`` needs equal dataclasses: the same object, or two
+    ``PowerSqrtSpectrum``s; no code can prove two declared closed forms equal.
     """
     if source == target:
         return EmbeddingConstant(1.0, 0.0)
@@ -70,7 +72,8 @@ def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConst
         return EmbeddingConstant(math.inf, 1.0)
     raise TypeError(
         f"comparability from {type(source).__name__} to {type(target).__name__} is exact "
-        "only for a step target (apply step_approx) or an unbounded one over a bounded source"
+        "only for a spectrum against itself, a step target (apply step_approx) or an "
+        "unbounded target over a bounded source"
     )
 
 

@@ -84,6 +84,22 @@ def _escape_exponent(sigma: Spectrum, q: float) -> tuple[float, float]:
     return total, q / (q - 1.0)
 
 
+def _band_gaps(sigma: Spectrum, targets: np.ndarray, q: float) -> np.ndarray:
+    """Band boundaries ``[1, g_1, ..., g_depth]``: gap 1, then the largest gap
+    whose sigma**q tail integral reaches each target; ``ValueError`` for an
+    empty ``targets`` or boundaries that fail to strictly descend."""
+    depth = targets.size
+    if depth < 1:
+        raise ValueError("truncation depth must be at least 1")
+    gaps = np.concatenate([[1.0], sigma.invert_tail_power(targets, q)])
+    if np.any(np.diff(gaps) >= 0):
+        raise ValueError(
+            f"band boundaries collapsed at depth {depth}; the sigma**{q!r} tail "
+            "is too thin to resolve in double precision"
+        )
+    return gaps
+
+
 def lp_escape(sigma: Spectrum, q: float, depth: int) -> LpEscape:
     """Truncation of the variable whose p-norm diverges inside the sigma ball.
 
@@ -101,19 +117,12 @@ def lp_escape(sigma: Spectrum, q: float, depth: int) -> LpEscape:
     from scipy import special
 
     total, p = _escape_exponent(sigma, q)
-    if depth < 1:
-        raise ValueError("truncation depth must be at least 1")
     zp1 = float(special.zeta(p + 1.0))
     # tail targets: integral of sigma**q over the top g_n of mass must equal
     # total * zeta(p+1, n+1)/zeta(p+1); the Hurwitz form avoids the
     # cancellation of forward partial sums near their limit.
     tail_targets = total * special.zeta(p + 1.0, np.arange(2.0, depth + 2.0)) / zp1
-    gaps = np.concatenate([[1.0], sigma.invert_tail_power(tail_targets, q)])
-    if np.any(np.diff(gaps) >= 0):
-        raise ValueError(
-            f"band boundaries collapsed at depth {depth}; the sigma**{q!r} tail "
-            "is too thin to resolve in double precision"
-        )
+    gaps = _band_gaps(sigma, tail_targets, q)
     # descending piece edges from 1 down to g_depth, every band gap among them
     if isinstance(sigma, StepSpectrum):
         nodes = sigma.kink_gaps
@@ -151,11 +160,7 @@ def linf_escape(sigma: Spectrum, depth: int) -> LinfEscape:
     spectrum, and the truncation stays below that; values reach ``depth``,
     so no essential bound survives the limit.
     """
-    if depth < 1:
-        raise ValueError("truncation depth must be at least 1")
-    gaps = np.concatenate([[1.0], sigma.invert_tail(np.ldexp(1.0, -np.arange(1, depth + 1)))])
-    if np.any(np.diff(gaps) >= 0):
-        raise ValueError(f"band boundaries collapsed at depth {depth}")
+    gaps = _band_gaps(sigma, np.ldexp(1.0, -np.arange(1, depth + 1)), 1.0)
     # ascending values 0..depth: remainder mass g_N, then band n's slab width
     masses = np.concatenate([[gaps[depth]], -np.diff(gaps)])
     dist = StepQuantile(np.arange(depth + 1, dtype=float), masses)

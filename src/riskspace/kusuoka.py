@@ -64,10 +64,6 @@ class KusuokaMeasure:
         atoms = ", ".join(f"({a:g}, {w:g})" for a, w in zip(self.levels, self.weights))
         return f"KusuokaMeasure([{atoms}])"
 
-    @property
-    def has_top_atom(self) -> bool:
-        return bool(self.levels[-1] == 1.0)
-
     def atoms(self) -> list[tuple[float, float]]:
         return [(float(a), float(w)) for a, w in zip(self.levels, self.weights)]
 
@@ -95,7 +91,7 @@ def sigma_from_mu(mu: KusuokaMeasure) -> StepSpectrum:
     Requires no atom at level 1; the essential-supremum component has no
     density on [0, 1).
     """
-    if mu.has_top_atom:
+    if mu.levels[-1] == 1.0:
         raise ValueError(
             f"measure has an atom at level 1 (weight {mu.weights[-1]:g}); a spectral "
             "density exists only when no mass sits at 1; drop or redistribute it first"

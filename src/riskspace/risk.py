@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dual import pairing
 from .spectrum import Spectrum, _suffix_sums
 from .stepdist import StepQuantile, comonotone_pair
 
@@ -95,8 +96,7 @@ def representation_sup_check(
     the quantile-integral evaluation.
     """
     base = spectral_risk(sigma, dist)
-    pairs = comonotone_pair(dist, sigma)
-    comono = float(np.dot(pairs.w, pairs.y * pairs.z))
+    comono = pairing(comonotone_pair(dist, sigma))
     rng = np.random.default_rng(seed)
     for _ in range(couplings):
         shuffled = coupling_value(sigma, dist, rng.permutation(dist.n_segments))
@@ -116,8 +116,6 @@ def semideviation(dist: StepQuantile, p: float, lam: float) -> SemideviationResu
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("the loading factor must lie in (0, 1]")
-    if p < 1:
-        raise ValueError("Lp norms need p >= 1")
     mu = dist.mean
     k = 0.5 if math.isinf(dist.max_value - float(dist.values[0])) else 1.0
     excess = StepQuantile(np.maximum(dist.values * k - mu * k, 0.0), dist.masses)

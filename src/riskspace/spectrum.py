@@ -205,16 +205,16 @@ class Spectrum:
 
     A family declares its forward forms ``density_from_gap``,
     ``tail_from_gap``, ``tail_power_integral`` and ``density_sup``; from them
-    derive ``density``, ``tail``, ``lq_norm`` and the bisection inverses
-    ``invert_tail_power`` and ``invert_tail``, which ``StepSpectrum``
-    overrides with its exact cell-wise forms.  Code that needs a step's
-    exact structure tests ``isinstance(sigma, StepSpectrum)``.
+    derive ``density``, ``tail``, ``lq_norm`` and the bisection inverse
+    ``invert_tail_power`` (``q = 1`` inverts ``S`` itself), which
+    ``StepSpectrum`` overrides with its exact cell-wise forms.  Code that
+    needs a step's exact structure tests ``isinstance(sigma, StepSpectrum)``.
 
     Array contract: ``density``, ``tail`` and every gap method
-    (``density_from_gap``, ``tail_from_gap``, ``tail_power_integral``,
-    ``invert_tail_power`` and ``invert_tail``) take a scalar or an array and
-    return a float or a float64 array of the same shape; the implementations
-    state it with ``@_scalar_or_array``.
+    (``density_from_gap``, ``tail_from_gap``, ``tail_power_integral`` and
+    ``invert_tail_power``) take a scalar or an array and return a float or a
+    float64 array of the same shape; the implementations state it with
+    ``@_scalar_or_array``.
     """
 
     # -- evaluation ------------------------------------------------------
@@ -294,10 +294,6 @@ class Spectrum:
                              "integral jumps, or the root lies below the smallest positive double")
         return g
 
-    def invert_tail(self, s):
-        """Largest gap g with S(1-g) == s (leftmost level t with S(t) = s)."""
-        return self.invert_tail_power(s, 1.0)
-
     # -- validation --------------------------------------------------------
 
     def _check(self) -> list[Violation]:
@@ -348,19 +344,14 @@ class StepSpectrum(Spectrum):
             factor = 1.0 / integral
             vals *= factor
             log.debug("rescaled step spectrum by %.17g", factor)
+        kink_gaps = 1.0 - bp[::-1]
+        # _steps is the density as a step function of the gap: cell k, the
+        # gaps of [b[k], b[k+1]), is (1 - b[k+1], 1 - b[k]]
         _keep(self, breakpoints=bp, values=vals, rescale_factor=factor,
               _widths=widths,  # read by _check and lq_norm
-              _mass=integral * factor, kink_gaps=1.0 - bp[::-1])
-        # the density as a step function of the gap: cell k, the gaps of
-        # [b[k], b[k+1]), is (1 - b[k+1], 1 - b[k]]
-        _keep(self, _steps=_GapSteps(self.kink_gaps[::-1], vals))
+              _mass=integral * factor, kink_gaps=kink_gaps,
+              _steps=_GapSteps(kink_gaps[::-1], vals))
         self.require_valid()
-
-    def __repr__(self) -> str:  # keep ndarray fields readable
-        return (
-            f"{type(self).__name__}(breakpoints={self.breakpoints.tolist()}, "
-            f"values={self.values.tolist()})"
-        )
 
     # -- evaluation ------------------------------------------------------
 

@@ -66,9 +66,6 @@ class StepQuantile:
         # suffix sums: tail_masses[k] is the mass strictly above segment k-1
         _keep(self, values=vals, masses=mass, tail_masses=_suffix_sums(mass))
 
-    def __repr__(self) -> str:
-        return f"StepQuantile(values={self.values.tolist()}, masses={self.masses.tolist()})"
-
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -139,13 +136,6 @@ class StepQuantile:
     # -- point evaluation --------------------------------------------------
 
     @cached_property
-    def _cumulative(self) -> np.ndarray:
-        """Cumulative masses P(Y <= values[k]), computed on first use."""
-        cum = np.cumsum(self.masses)
-        cum.setflags(write=False)
-        return cum
-
-    @cached_property
     def _steps(self) -> _GapSteps:
         """The quantile as a step function of the gap, built on first use."""
         return _GapSteps(self.tail_masses, self.values)
@@ -159,7 +149,7 @@ class StepQuantile:
         ps = np.asarray(p, dtype=float)
         if not np.all((ps >= 0.0) & (ps < 1.0)):
             raise ValueError("quantile levels lie in [0, 1)")
-        idx = np.searchsorted(self._cumulative, ps, side="right")
+        idx = np.searchsorted(np.cumsum(self.masses), ps, side="right")
         out = self.values[np.minimum(idx, self.values.size - 1)]
         return float(out) if ps.ndim == 0 else out
 
@@ -281,16 +271,13 @@ def _comonotone_rows(
     tails = _suffix_sums(masses)  # descending, one boundary per segment edge
     nodes = sigma.kink_gaps if isinstance(sigma, StepSpectrum) else np.empty(0)
     grid = np.unique(np.concatenate([tails, nodes[nodes < tails[0]]]))[::-1]  # descending gaps
-    widths = grid[:-1] - grid[1:]
+    widths = grid[:-1] - grid[1:]  # all > 0: distinct doubles never differ by 0
     # piece i spans gaps (grid[i+1], grid[i]]; segment k owns gaps
     # (tails[k+1], tails[k]], so match on the piece's upper gap
     seg_idx = _GapSteps(tails, values).cell(grid[:-1])
     svals = sigma.tail_from_gap(grid)
     sig_mass = svals[:-1] - svals[1:]
-    keep = widths > 0
-    widths, sig_mass, seg_idx = widths[keep], sig_mass[keep], seg_idx[keep]
-    z = sig_mass / widths
-    return values[seg_idx], z, widths, grid[:-1][keep]
+    return values[seg_idx], sig_mass / widths, widths, grid[:-1]
 
 
 def comonotone_pair(dist: StepQuantile, sigma: Spectrum) -> PairedSample:

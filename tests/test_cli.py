@@ -607,15 +607,15 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "riskspace", "approx", "--spectrum", str(tmp_path / "s.json"),
          "--samples", str(tmp_path / "d.csv"), "--epsilon", "0.01"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    head = proc.stdout.read(100)
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=120) == 141
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
     assert head.startswith(b"{")
     assert stderr == b""
 

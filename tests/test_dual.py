@@ -27,6 +27,7 @@ from riskspace.spectrum import (
     StepSpectrum,
 )
 from riskspace.stepdist import PairedSample, StepQuantile
+from support import random_step
 
 FLAT = StepSpectrum([0.0, 1.0], [1.0])
 EPS = np.finfo(float).eps
@@ -37,14 +38,6 @@ SQRT_BARE = GeneralSpectrum(gap_density_fn=lambda g: 0.5 / np.sqrt(g), gap_tail_
 
 def indicator(p):
     return StepQuantile(np.array([0.0, 1.0]), np.array([1.0 - p, p]))
-
-
-def random_step(rng):
-    cuts = np.sort(rng.uniform(0.05, 0.95, rng.integers(1, 5)))
-    edges = np.unique(np.concatenate([[0.0], cuts, [1.0]]))
-    vals = np.cumsum(rng.uniform(0.1, 2.0, edges.size - 1))
-    vals /= np.dot(vals, np.diff(edges))
-    return StepSpectrum(edges, vals)
 
 
 def grid_ratio_sup(Z, sigma, n=10_001):

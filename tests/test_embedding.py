@@ -24,6 +24,7 @@ from riskspace.spectrum import (
     StepSpectrum,
 )
 from riskspace.stepdist import StepQuantile
+from support import random_step
 
 FLAT = StepSpectrum([0.0, 1.0], [1.0])
 
@@ -34,14 +35,6 @@ SQRT_LIKE = GeneralSpectrum(
 )
 # the same without density_sup: its a -> 1 limit is undeclared
 SQRT_BARE = GeneralSpectrum(gap_density_fn=lambda g: 0.5 / np.sqrt(g), gap_tail_fn=np.sqrt)
-
-
-def random_step(rng):
-    cuts = np.sort(rng.uniform(0.05, 0.95, rng.integers(1, 5)))
-    edges = np.unique(np.concatenate([[0.0], cuts, [1.0]]))
-    vals = np.cumsum(rng.uniform(0.1, 2.0, edges.size - 1))
-    vals /= np.dot(vals, np.diff(edges))
-    return StepSpectrum(edges, vals)
 
 
 def grid_ratio_sup(source, target, n=10_001):
@@ -228,6 +221,25 @@ class TestPairwiseConstants:
         # the identity norm takes its pairwise constants, errors included
         with pytest.raises(TypeError):
             identity_norm([FLAT, power], [SQRT_LIKE])
+
+    def test_a_spectrum_against_itself(self):
+        # the same object is exact whatever its type; so are two
+        # PowerSqrtSpectrum instances, which compare equal as dataclasses
+        assert comparability_constant(SQRT_LIKE, SQRT_LIKE) == EmbeddingConstant(1.0, 0.0)
+        assert comparability_constant(SQRT_BARE, SQRT_BARE) == EmbeddingConstant(1.0, 0.0)
+        assert comparability_constant(PowerSqrtSpectrum(), PowerSqrtSpectrum()).value == 1.0
+
+    def test_separately_declared_closed_forms_are_different_spectra(self):
+        # no code can prove two declared callables equal, so an identical
+        # second declaration is a different spectrum and has no exact constant
+        twin = GeneralSpectrum(
+            gap_density_fn=lambda g: 0.5 / np.sqrt(g), gap_tail_fn=np.sqrt, density_sup=math.inf
+        )
+        with pytest.raises(TypeError, match="from GeneralSpectrum to GeneralSpectrum") as exc:
+            comparability_constant(SQRT_LIKE, twin)
+        for case in ("a spectrum against itself", "a step target",
+                     "an unbounded target over a bounded source"):
+            assert case in str(exc.value)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

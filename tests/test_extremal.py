@@ -20,6 +20,7 @@ from riskspace.extremal import (
 from riskspace.risk import sigma_norm, spectral_risk
 from riskspace.spectrum import AvarSpectrum, GeneralSpectrum, PowerSqrtSpectrum, StepSpectrum
 from riskspace.stepdist import StepQuantile
+from support import sqrt_tail_power
 
 FLAT = StepSpectrum([0.0, 1.0], [1.0])
 SQRT2 = math.sqrt(2.0)
@@ -162,14 +163,6 @@ class TestLinfEscape:
             linf_escape(FLAT, 0)
 
 
-def _sqrt_tail_power(g, q):
-    # integral of (1 / (2 sqrt t))**q over t in [0, g]; infinite from q = 2 on
-    if q >= 2:
-        return np.where(g > 0, math.inf, 0.0)
-    expo = 1.0 - q / 2.0
-    return 2.0**-q * g**expo / expo
-
-
 class TestGeneralSpectrumEscapes:
     # spectra declared by closed forms in gap coordinates: the bands come
     # from bisection on the declared power integral
@@ -186,7 +179,7 @@ class TestGeneralSpectrumEscapes:
     SQRT_LIKE = GeneralSpectrum(
         gap_density_fn=lambda g: 0.5 / np.sqrt(g),
         gap_tail_fn=np.sqrt,
-        tail_power_fn=_sqrt_tail_power,
+        tail_power_fn=sqrt_tail_power,
     )
 
     @pytest.mark.parametrize("depth", [3, 40])

@@ -22,14 +22,7 @@ from riskspace.kusuoka import (
 from riskspace.risk import avar, sigma_norm, spectral_risk
 from riskspace.spectrum import AvarSpectrum, PowerSqrtSpectrum, StepSpectrum
 from riskspace.stepdist import StepQuantile
-
-
-def random_step(rng):
-    cuts = np.sort(rng.uniform(0.05, 0.95, rng.integers(1, 5)))
-    edges = np.unique(np.concatenate([[0.0], cuts, [1.0]]))
-    vals = np.cumsum(rng.uniform(0.1, 2.0, edges.size - 1))
-    vals /= np.dot(vals, np.diff(edges))
-    return StepSpectrum(edges, vals)
+from support import random_step
 
 
 class TestMuFromSigma:
@@ -80,7 +73,7 @@ class TestSigmaFromMu:
 
     def test_atom_at_one_blocks_conversion(self):
         mu = KusuokaMeasure(np.array([0.5, 1.0]), np.array([0.5, 0.5]))
-        assert mu.has_top_atom
+        assert mu.levels[-1] == 1.0
         with pytest.raises(ValueError):
             sigma_from_mu(mu)
 
@@ -275,3 +268,8 @@ class TestFileForm:
             measure_from_dict({"weights": [1.0]})
         with pytest.raises(ValueError):
             measure_from_dict({"atoms": [[0.5]]})
+
+
+def test_measure_repr_lists_its_atoms():
+    mu = KusuokaMeasure(np.array([0.0, 0.5]), np.array([0.25, 0.75]))
+    assert repr(mu) == "KusuokaMeasure([(0, 0.25), (0.5, 0.75)])"

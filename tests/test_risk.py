@@ -169,6 +169,10 @@ class TestSemideviation:
         with pytest.raises(ValueError):
             semideviation(FOUR, p=2.0, lam=0.0)
 
+    def test_norm_exponent_domain(self):
+        with pytest.raises(ValueError, match="Lp norms need p >= 1"):
+            semideviation(FOUR, p=0.5, lam=0.5)
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_bounded_by_loaded_pnorm_for_nonnegative(self, seed, lam):

@@ -26,6 +26,7 @@ from riskspace.spectrum import (
 )
 from riskspace.risk import spectral_risk
 from riskspace.stepdist import StepQuantile
+from support import sqrt_tail_power
 
 
 def random_step(rng, max_cells=6):
@@ -125,13 +126,13 @@ class TestPowerSqrt:
         s = PowerSqrtSpectrum()
         for bad in (2.0, 1.0 + 1e-15, -1e-300, math.nan):
             with pytest.raises(ValueError, match="outside"):
-                s.invert_tail(bad)
+                s.invert_tail_power(bad, 1.0)
         with pytest.raises(ValueError, match="outside"):
             s.invert_tail_power(5.0, 1.5)
         with pytest.raises(ValueError, match="outside"):
-            s.invert_tail(np.array([0.25, 2.0]))
-        assert s.invert_tail(1.0) == 1.0
-        assert s.invert_tail(0.0) == 0.0
+            s.invert_tail_power(np.array([0.25, 2.0]), 1.0)
+        assert s.invert_tail_power(1.0, 1.0) == 1.0
+        assert s.invert_tail_power(0.0, 1.0) == 0.0
         total = s.tail_power_integral(1.0, 1.5)
         assert s.invert_tail_power(total, 1.5) == pytest.approx(1.0, rel=1e-15)
 
@@ -253,8 +254,8 @@ class TestStepSpectrum:
         # integral, and the tie resolves to the leftmost root, i.e. the
         # largest gap
         s = AvarSpectrum(0.5)
-        assert s.invert_tail(1.0) == 1.0
-        assert s.invert_tail(0.5) == pytest.approx(0.25, abs=1e-15)
+        assert s.invert_tail_power(1.0, 1.0) == 1.0
+        assert s.invert_tail_power(0.5, 1.0) == pytest.approx(0.25, abs=1e-15)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -385,8 +386,8 @@ class TestGapKernel:
         total = s.tail_power_integral(1.0, 2.0)
         assert s.tail_power_integral(0.6, 2.0) == total
         assert s.invert_tail_power(total, 2.0) == 1.0
-        assert s.invert_tail(1.0) == 1.0
-        assert s.invert_tail(0.0) == 0.0
+        assert s.invert_tail_power(1.0, 1.0) == 1.0
+        assert s.invert_tail_power(0.0, 1.0) == 0.0
 
 
 def _rising_tail_power(g, q):
@@ -422,10 +423,10 @@ class TestArrayContract:
         inv = sigma.invert_tail_power(targets, 1.5)
         assert isinstance(inv, np.ndarray) and inv.dtype == np.float64
         assert _bits(inv) == _bits([sigma.invert_tail_power(float(t), 1.5) for t in targets])
-        tails = sigma.invert_tail(fractions)
+        tails = sigma.invert_tail_power(fractions, 1.0)
         assert isinstance(tails, np.ndarray) and tails.dtype == np.float64
-        assert _bits(tails) == _bits([sigma.invert_tail(float(f)) for f in fractions])
-        assert isinstance(sigma.invert_tail(0.5), float)
+        assert _bits(tails) == _bits([sigma.invert_tail_power(float(f), 1.0) for f in fractions])
+        assert isinstance(sigma.invert_tail_power(0.5, 1.0), float)
 
     @pytest.mark.parametrize(
         "sigma",
@@ -478,13 +479,12 @@ def _assert_smallest_reaching_gap(sigma, gap, q):
 
 class TestDerivedForms:
     """A closed-form family declares its forward forms; ``lq_norm`` and the
-    inverses come from ``Spectrum``."""
+    inverse come from ``Spectrum``."""
 
     def test_closed_forms_inherit_norm_and_inverse(self):
         for cls in (PowerSqrtSpectrum, GeneralSpectrum):
             assert cls.lq_norm is Spectrum.lq_norm
             assert cls.invert_tail_power is Spectrum.invert_tail_power
-            assert cls.invert_tail is Spectrum.invert_tail
         assert StepSpectrum.lq_norm is not Spectrum.lq_norm
         assert StepSpectrum.invert_tail_power is not Spectrum.invert_tail_power
 
@@ -531,7 +531,7 @@ class TestDerivedForms:
         gen = GeneralSpectrum(
             gap_density_fn=lambda g: 0.5 / np.sqrt(g),
             gap_tail_fn=np.sqrt,
-            tail_power_fn=_sqrt_tail_power,
+            tail_power_fn=sqrt_tail_power,
         )
         assert math.isinf(gen.lq_norm(2.0))
         with pytest.raises(ValueError, match="not integrable"):
@@ -544,21 +544,13 @@ class TestKinkScan:
         assert s.kink_gaps.tolist() == [0.0, 0.5, 0.75, 1.0]
 
 
-def _sqrt_tail_power(g, q):
-    # integral of (1 / (2 sqrt t))**q over t in [0, g]; infinite from q = 2 on
-    if q >= 2:
-        return np.where(g > 0, math.inf, 0.0)
-    expo = 1.0 - q / 2.0
-    return 2.0**-q * g**expo / expo
-
-
 class TestGeneralSpectrum:
     def _power(self):
         # sigma(u) = (1/2)(1-u)^(-1/2) expressed through closed forms only
         return GeneralSpectrum(
             gap_density_fn=lambda g: 0.5 / np.sqrt(g),
             gap_tail_fn=np.sqrt,
-            tail_power_fn=_sqrt_tail_power,
+            tail_power_fn=sqrt_tail_power,
         )
 
     def test_matches_closed_form_family(self):
@@ -588,7 +580,7 @@ class TestGeneralSpectrum:
 
     def test_bisection_inversion(self):
         gen = self._power()
-        g = gen.invert_tail(0.125)
+        g = gen.invert_tail_power(0.125, 1.0)
         assert gen.tail_from_gap(g) == pytest.approx(0.125, abs=1e-10)
 
     def test_inversion_agrees_with_the_closed_form_to_tiny_gaps(self):
@@ -600,9 +592,9 @@ class TestGeneralSpectrum:
             assert np.max(np.abs(got - gaps) / np.spacing(gaps)) <= 16
         # below the smallest normal gap: tail 1e-151 is reached at 1e-302
         ref = PowerSqrtSpectrum()
-        assert gen.invert_tail(1e-151) == 9.999999999999998e-303 == ref.invert_tail(1e-151)
-        assert gen.invert_tail(0.0) == 0.0
-        assert gen.invert_tail(1.0) == 1.0
+        assert gen.invert_tail_power(1e-151, 1.0) == 9.999999999999998e-303 == ref.invert_tail_power(1e-151, 1.0)
+        assert gen.invert_tail_power(0.0, 1.0) == 0.0
+        assert gen.invert_tail_power(1.0, 1.0) == 1.0
 
     def test_inversion_returns_the_smallest_reaching_gap(self):
         gen = self._power()
@@ -620,15 +612,15 @@ class TestGeneralSpectrum:
             gap_density_fn=lambda g: np.where(g <= 0.5, 2.0, 0.0),
             gap_tail_fn=lambda g: np.minimum(2.0 * g, 1.0),
         )
-        assert avar_like.invert_tail(1.0) == 1.0 == AvarSpectrum(0.5).invert_tail(1.0)
-        assert avar_like.invert_tail(0.5) == 0.25 == AvarSpectrum(0.5).invert_tail(0.5)
+        assert avar_like.invert_tail_power(1.0, 1.0) == 1.0 == AvarSpectrum(0.5).invert_tail_power(1.0, 1.0)
+        assert avar_like.invert_tail_power(0.5, 1.0) == 0.25 == AvarSpectrum(0.5).invert_tail_power(0.5, 1.0)
 
     def test_inversion_cost_is_fixed_per_batch(self):
         calls = []
 
         def counted(g, q):
             calls.append(np.size(g))
-            return _sqrt_tail_power(g, q)
+            return sqrt_tail_power(g, q)
 
         gen = GeneralSpectrum(
             gap_density_fn=lambda g: 0.5 / np.sqrt(g), gap_tail_fn=np.sqrt, tail_power_fn=counted
@@ -658,8 +650,8 @@ class TestGeneralSpectrum:
         gen = self._power()
         for bad in (1.5, -0.1, math.nan):
             with pytest.raises(ValueError, match="outside"):
-                gen.invert_tail(bad)
-        assert gen.invert_tail(1.0) == 1.0
+                gen.invert_tail_power(bad, 1.0)
+        assert gen.invert_tail_power(1.0, 1.0) == 1.0
 
     def test_declared_exponent_gates_lq(self):
         gen = self._power()
@@ -741,3 +733,30 @@ class TestFileForm:
         gen = GeneralSpectrum(gap_density_fn=np.ones_like, gap_tail_fn=lambda g: g)
         with pytest.raises(NotImplementedError):
             gen.to_dict()
+
+
+class TestDomainErrors:
+    def test_tail_outside_unit_interval(self):
+        for sigma in (AvarSpectrum(0.5), PowerSqrtSpectrum()):
+            for bad in (-0.25, 1.5, np.array([0.5, 2.0])):
+                with pytest.raises(ValueError, match=r"levels in \[0, 1\]"):
+                    sigma.tail(bad)
+
+    def test_lq_norm_below_one(self):
+        for sigma in (AvarSpectrum(0.5), PowerSqrtSpectrum()):
+            with pytest.raises(ValueError, match="Lq norms need q >= 1"):
+                sigma.lq_norm(0.5)
+
+
+class TestRepr:
+    def test_small_step_repr_names_class_and_fields(self):
+        text = repr(StepSpectrum([0.0, 0.5, 1.0], [0.5, 1.5]))
+        assert text.startswith("StepSpectrum(")
+        assert "breakpoints=" in text and "values=" in text and "1.5" in text
+
+    def test_large_step_repr_is_a_summary(self):
+        sigma = StepSpectrum(np.linspace(0.0, 1.0, 10**6 + 1), np.ones(10**6))
+        assert len(repr(sigma)) < 1000
+
+    def test_avar_repr_gives_its_level(self):
+        assert repr(AvarSpectrum(0.5)) == "AvarSpectrum(level=0.5)"

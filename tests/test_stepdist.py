@@ -632,3 +632,19 @@ class TestComonotonePair:
         d = StepQuantile.from_samples([3.0, 5.0, 11.0])
         pair = comonotone_pair(d, AvarSpectrum(0.25))
         assert float(np.dot(pair.w, pair.z)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRepr:
+    def test_large_law_repr_is_a_summary(self):
+        # numpy elides the middle of a long array instead of printing every value
+        d = StepQuantile.from_samples(np.arange(1e6))
+        assert len(repr(d)) < 1000
+
+    def test_small_law_repr_names_class_and_fields(self):
+        text = repr(StepQuantile([1.0, 2.0], [0.25, 0.75]))
+        assert text.startswith("StepQuantile(")
+        assert "values=" in text and "masses=" in text and "0.75" in text
+
+    def test_paired_sample_repr_gives_its_size(self):
+        s = PairedSample(np.array([2.0, 1.0]), np.array([0.0, 5.0]), np.array([0.5, 0.5]))
+        assert repr(s) == "PairedSample(n=2)"
