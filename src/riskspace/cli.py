@@ -5,8 +5,9 @@ for humans (warnings, error causes) goes to stderr.  Exit codes: 0 on
 success, 1 when a checked property fails to hold (dominance violations,
 verify-suite failures, cross-method disagreement beyond --tol), 2 on usage
 or input errors, including malformed files, which are reported with a line
-number whenever one is known, and 141 (128 + SIGPIPE) when stdout is closed
-before the document is written, as by ``riskspace ... | head -1``.
+number whenever one is known, and on a request too large for memory, and
+141 (128 + SIGPIPE) when stdout is closed before the document is written,
+as by ``riskspace ... | head -1``.
 
 Non-finite numbers have no JSON literal, so they are emitted as the strings
 "inf", "-inf" and "nan".
@@ -82,7 +83,7 @@ def _cmd_eval(args) -> tuple[dict, int]:
         payload = {
             "value": via_q,
             "method": "both",
-            "norm": bool(args.norm),
+            "norm": args.norm,
             "quantile-integral": via_q,
             "cdf-tail-integral": via_cdf,
             "difference": gap,
@@ -93,7 +94,7 @@ def _cmd_eval(args) -> tuple[dict, int]:
             return payload, 1
         return payload, 0
     value = compute(sigma, dist) if args.method == "quantile" else compute_cdf(sigma, dist)
-    return {"value": value, "method": _METHOD_NAMES[args.method], "norm": bool(args.norm)}, 0
+    return {"value": value, "method": _METHOD_NAMES[args.method], "norm": args.norm}, 0
 
 
 def _cmd_norm(args) -> tuple[dict, int]:
@@ -243,28 +244,23 @@ def build_parser() -> argparse.ArgumentParser:
     # clobber values given before the subcommand word
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    law = argparse.ArgumentParser(add_help=False)
+    law.add_argument("--spectrum", required=True)
+    law.add_argument("--samples", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="spectral risk of a sample file")
-    p.add_argument("--spectrum", required=True)
-    p.add_argument("--samples", required=True)
+    p = sub.add_parser("eval", parents=[common, law], help="spectral risk of a sample file")
     p.add_argument("--norm", action="store_true", help="evaluate the norm (risk of |Y|)")
     p.add_argument("--method", choices=["quantile", "cdf", "both"], default="quantile")
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("norm", parents=[common], help="associated norm of a sample file")
-    p.add_argument("--spectrum", required=True)
-    p.add_argument("--samples", required=True)
+    p = sub.add_parser("norm", parents=[common, law], help="associated norm of a sample file")
     p.set_defaults(handler=_cmd_norm)
 
-    p = sub.add_parser("dual-norm", parents=[common], help="gauge norm in the dual space")
-    p.add_argument("--spectrum", required=True)
-    p.add_argument("--samples", required=True)
+    p = sub.add_parser("dual-norm", parents=[common, law], help="gauge norm in the dual space")
     p.set_defaults(handler=_cmd_dual_norm)
 
-    p = sub.add_parser("dominate", parents=[common],
+    p = sub.add_parser("dominate", parents=[common, law],
                        help="check AVaR-dominance |Z| <= eta * sigma at every level")
-    p.add_argument("--spectrum", required=True)
-    p.add_argument("--samples", required=True)
     p.add_argument("--eta", type=float, required=True)
     p.set_defaults(handler=_cmd_dominate)
 
@@ -299,10 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=24, help="depth of the built-in heavy tail")
     p.set_defaults(handler=_cmd_diverge)
 
-    p = sub.add_parser("approx", parents=[common],
+    p = sub.add_parser("approx", parents=[common, law],
                        help="finite-step density approximation within an error budget")
-    p.add_argument("--spectrum", required=True)
-    p.add_argument("--samples", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.set_defaults(handler=_cmd_approx)
 
@@ -332,6 +326,8 @@ def main(argv=None) -> int:
         if getattr(args, "samples", None) is not None:
             args.samples = StepQuantile.from_samples(*read_samples_csv(args.samples))
         payload, code = args.handler(args)
+        indent = args.json_indent if args.json_indent >= 0 else None
+        document = json.dumps(_jsonify(payload), indent=indent, allow_nan=False)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -341,8 +337,10 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    indent = args.json_indent if args.json_indent >= 0 else None
-    document = json.dumps(_jsonify(payload), indent=indent, allow_nan=False)
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError has no text
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
     try:
         print(document)
         sys.stdout.flush()

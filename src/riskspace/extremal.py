@@ -221,10 +221,11 @@ def step_density_approx(
     meshes the middle; a finite step quantile already is a simple function,
     so the least clipping meeting the budgets is no clipping at all and the
     mesh, refined by the input's own breakpoints, reproduces every value.
-    The construction therefore returns the input and certifies a residual of
-    exactly zero; the certificate is still computed, not assumed.
+    The construction therefore returns the input, and the residual Y - s(U)
+    vanishes pointwise, so its sigma-norm is 0 * (S(1) - S(0)) = 0 for every
+    valid spectrum.  The invariant suite's ``approx-error-certified`` check
+    recomputes that norm from the two quantiles rather than trusting it.
     """
     if not eps > 0:
         raise ValueError("approximation tolerance must be positive")
-    residual = StepQuantile(np.zeros(1), np.ones(1))  # Y - s(U) vanishes pointwise
-    return dist, float(sigma_norm(sigma, residual))
+    return dist, 0.0

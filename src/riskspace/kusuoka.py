@@ -96,14 +96,10 @@ def sigma_from_mu(mu: KusuokaMeasure) -> StepSpectrum:
             f"measure has an atom at level 1 (weight {mu.weights[-1]:g}); a spectral "
             "density exists only when no mass sits at 1; drop or redistribute it first"
         )
-    increments = mu.weights / (1.0 - mu.levels)
-    if mu.levels[0] == 0.0:
-        breakpoints = np.concatenate([[0.0], mu.levels[1:], [1.0]])
-        values = np.cumsum(increments)
-    else:
-        breakpoints = np.concatenate([[0.0], mu.levels, [1.0]])
-        values = np.concatenate([[0.0], np.cumsum(increments)])
-    return StepSpectrum(breakpoints, values)
+    values = np.cumsum(mu.weights / (1.0 - mu.levels))
+    if mu.levels[0] > 0.0:  # sigma is zero below the first atom
+        values = np.concatenate([[0.0], values])
+    return StepSpectrum(np.concatenate([[0.0], mu.levels[mu.levels > 0.0], [1.0]]), values)
 
 
 def mixture_risk(mu: KusuokaMeasure, dist: StepQuantile) -> float:

@@ -20,11 +20,7 @@ VALUE_RANGE = 10.0
 def random_step_spectrum(rng: np.random.Generator, max_cells: int = 8) -> StepSpectrum:
     """Random valid step spectrum; about a third start with a flat-zero cell."""
     n = int(rng.integers(1, max_cells + 1))
-    cuts = np.sort(rng.uniform(0.0, 1.0, n - 1))
-    if cuts.size:
-        keep = np.concatenate([[True], np.diff(cuts) > 0]) & (cuts > 0.0) & (cuts < 1.0)
-        cuts = cuts[keep]
-    breakpoints = np.concatenate([[0.0], cuts, [1.0]])
+    breakpoints = np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 1)]))
     values = np.cumsum(rng.exponential(1.0, breakpoints.size - 1))
     if values.size > 1 and rng.random() < 1.0 / 3.0:
         values[0] = 0.0

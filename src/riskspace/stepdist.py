@@ -293,7 +293,7 @@ def comonotone_pair(dist: StepQuantile, sigma: Spectrum) -> PairedSample:
 # -- sample files -------------------------------------------------------------
 
 
-def _parse_row(row: list[str], lineno: int, expect: int | None) -> tuple[tuple[float, ...], int]:
+def _parse_row(row: list[str], lineno: int, expect: int | None) -> tuple[float, ...]:
     cells = [c.strip() for c in row]
     if len(cells) not in (1, 2):
         raise InputFormatError(f"expected 1 or 2 columns, got {len(cells)}", lineno)
@@ -307,7 +307,7 @@ def _parse_row(row: list[str], lineno: int, expect: int | None) -> tuple[tuple[f
         raise InputFormatError(f"non-numeric cell: {exc}", lineno) from None
     if any(not math.isfinite(v) for v in parsed):
         raise InputFormatError("sample cells must be finite numbers", lineno)
-    return parsed, len(cells)
+    return parsed
 
 
 def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -315,27 +315,34 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
 
     A first row with a cell that is not a number is a header and skipped.
     A byte-order mark and blank lines are ignored.  Weights, when present,
-    must be strictly positive.
+    must be strictly positive.  Errors name the line a record starts on; a
+    quoted cell may span several lines.
     """
     rows: list[tuple[float, ...]] = []
     expect: int | None = None
     header_checked = False
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if not header_checked:
-                header_checked = True
-                try:
-                    list(map(float, row))
-                except ValueError:
-                    continue  # a cell that is not a number: a header
-            parsed, ncols = _parse_row(row, lineno, expect)
-            if expect is None:
-                expect = ncols
-            rows.append(parsed)
-            if ncols == 2 and parsed[1] <= 0:
-                raise InputFormatError(f"weight {parsed[1]:g} must be positive", lineno)
+        reader = csv.reader(fh)
+        start = 1
+        try:
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if not header_checked:
+                    header_checked = True
+                    try:
+                        list(map(float, row))
+                    except ValueError:
+                        continue  # a cell that is not a number: a header
+                parsed = _parse_row(row, lineno, expect)
+                if expect is None:
+                    expect = len(parsed)
+                rows.append(parsed)
+                if expect == 2 and parsed[1] <= 0:
+                    raise InputFormatError(f"weight {parsed[1]:g} must be positive", lineno)
+        except csv.Error as exc:
+            raise InputFormatError(str(exc), reader.line_num) from None
     if not rows:
         raise InputFormatError("no observations found")
     values = np.array([r[0] for r in rows])

@@ -331,18 +331,19 @@ def _dual_monotone(rng) -> float:
     return dualmod.dual_norm(big, sig).value - dualmod.dual_norm(small, sig).value + 1e-12
 
 
+def _grid_gaps(*kinks) -> np.ndarray:
+    """Positive gaps of a uniform 10^4-point grid joined with the given kink gaps."""
+    gaps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 10_001)[1:], *kinks]))
+    return gaps[gaps > 0.0]
+
+
 @_invariant("dual-grid-oracle", "breakpoint-scan dual norm matches a 10^4-point grid sup within 1e-9")
 def _dual_grid(rng) -> float:
     sig = sampling.random_step_spectrum(rng)
     z = sampling.random_quantile(rng)
     scan = dualmod.dual_norm(z, sig).value
     mag = z.abs()
-    gaps = np.unique(
-        np.concatenate(
-            [np.linspace(0.0, 1.0, 10_001)[1:], mag.tail_masses[:-1], 1.0 - sig.breakpoints]
-        )
-    )
-    gaps = gaps[gaps > 0.0]
+    gaps = _grid_gaps(mag.tail_masses[:-1], 1.0 - sig.breakpoints)
     grid = float(np.max(mag.upper_integral(gaps) / sig.tail_from_gap(gaps)))
     return 1e-9 - abs(scan - grid)
 
@@ -395,12 +396,7 @@ def _embed_grid(rng) -> float:
     s1 = sampling.random_step_spectrum(rng)
     s2 = sampling.random_step_spectrum(rng)
     scan = embedding.comparability_constant(s1, s2).value
-    gaps = np.unique(
-        np.concatenate(
-            [np.linspace(0.0, 1.0, 10_001)[1:], 1.0 - s1.breakpoints, 1.0 - s2.breakpoints]
-        )
-    )
-    gaps = gaps[gaps > 0.0]
+    gaps = _grid_gaps(1.0 - s1.breakpoints, 1.0 - s2.breakpoints)
     grid = float(np.max(s2.tail_from_gap(gaps) / s1.tail_from_gap(gaps)))
     return 1e-9 - abs(scan - grid)
 
@@ -542,12 +538,9 @@ def run_suite(seed: int = 0, cases: int = 50) -> dict:
         failures = 0
         for case in range(cases):
             margin = float(inv.fn(np.random.default_rng((seed, idx, case))))
-            if margin < 0.0 or math.isnan(margin):
+            if not margin >= 0.0:  # NaN fails too
                 failures += 1
-            if math.isnan(margin):
-                worst = -math.inf
-            else:
-                worst = min(worst, margin)
+            worst = min(worst, -math.inf if math.isnan(margin) else margin)
         failures_total += failures
         entries.append(
             {

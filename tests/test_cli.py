@@ -544,6 +544,55 @@ class TestFailureExits:
         assert payload is None
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("value\n1\n" + "x" * 200_000 + "\n",
+             "line 3: field larger than field limit (131072)"),
+            # a quoted cell spanning lines 2-3 leaves the next records on lines 4 and 5
+            ('value\n"1\n"\n5\nabc\n',
+             "line 5: non-numeric cell: could not convert string to float: 'abc'"),
+            ('value\n1\n"2\n3"\n',
+             "line 3: non-numeric cell: could not convert string to float: '2\\n3'"),
+        ],
+        ids=["field-limit", "after-multiline-cell", "multiline-cell"],
+    )
+    def test_csv_error_names_the_line_its_record_starts_on(
+        self, files, tmp_path, capsys, text, message
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code, payload, err = run(
+            capsys, "norm", "--spectrum", files / "avar05.json", "--samples", bad
+        )
+        assert code == 2
+        assert payload is None
+        assert err == f"input error: {message}\n"
+
+    def test_kernel_out_of_memory_is_a_usage_error(self, files, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr("riskspace.cli.linf_escape", exhausted)
+        code, payload, err = run(
+            capsys, "escape", "--spectrum", files / "avar05.json", "--mode", "linf"
+        )
+        assert code == 2
+        assert payload is None
+        assert err == "error: out of memory\n"
+
+    def test_output_out_of_memory_is_a_usage_error(self, files, capsys, monkeypatch):
+        def exhausted(obj):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr("riskspace.cli._jsonify", exhausted)
+        code, payload, err = run(
+            capsys, "norm", "--spectrum", files / "avar05.json", "--samples", files / "four.csv"
+        )
+        assert code == 2
+        assert payload is None
+        assert err == "error: out of memory: Unable to allocate 7.45 GiB\n"
+
     def test_nonpositive_weight_reports_line(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,0.5\n2,0\n")

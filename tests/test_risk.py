@@ -157,6 +157,13 @@ class TestCouplings:
         assert abs(report.residual) <= 1e-9
         assert report.value == pytest.approx(spectral_risk(sigma, dist), abs=1e-9)
 
+    def test_coupling_above_comonotone_raises(self, monkeypatch):
+        sigma, dist = seeded_case(11)
+        lifted = spectral_risk(sigma, dist) + 1.0
+        monkeypatch.setattr("riskspace.risk.coupling_value", lambda *args: lifted)
+        with pytest.raises(RuntimeError, match="exceeded the comonotone value"):
+            representation_sup_check(sigma, dist, couplings=1)
+
 
 class TestSemideviation:
     def test_hand_value(self):
