@@ -319,6 +319,11 @@ def main(argv=None) -> int:
     if not args.tol >= 0:
         print(f"error: --tol must be a nonnegative number, got {args.tol}", file=sys.stderr)
         return 2
+    if args.json_indent > sys.maxsize:
+        # json.dumps would raise OverflowError building the indent string
+        print(f"error: --json-indent must be at most {sys.maxsize}, got {args.json_indent}",
+              file=sys.stderr)
+        return 2
     try:
         # every handler gets --spectrum and then --samples read here, once
         if getattr(args, "spectrum", None) is not None:

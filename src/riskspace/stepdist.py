@@ -82,7 +82,10 @@ class StepQuantile:
                 raise ValueError("weights must match the sample in length")
             if np.any(w <= 0) or not np.all(np.isfinite(w)):
                 raise ValueError("weights must be strictly positive and finite")
-        return cls.from_segments(vals, w)
+        # numpy's default sort (SIMD where the CPU has it) is several times
+        # faster than the stable one on raw samples; _canonical makes the
+        # result independent of the permutation it returns
+        return cls._canonical(vals, w, np.argsort)
 
     @classmethod
     def from_segments(cls, values, masses) -> "StepQuantile":
@@ -99,21 +102,46 @@ class StepQuantile:
         del keep
         if vals.size == 0:
             raise ValueError("no segments with positive mass")
-        order = np.argsort(vals, kind="stable")
-        vals, mass = vals[order], mass[order]
-        del order
-        # merge exact ties so breakpoints stay strictly increasing; bincount
-        # sums each run in order, as adding into zeros would
-        fresh = _run_starts(vals)
-        if fresh is not None:
-            # each entry's run index, accumulated in place: a cumsum of the
-            # bools would allocate a cast copy as well
+        # the callers pass values that are already sorted runs (|Y|, a clip,
+        # the escapes), which the stable sort merges in linear time
+        return cls._canonical(vals, mass, _stable_argsort)
+
+    @classmethod
+    def _canonical(cls, vals: np.ndarray, mass: np.ndarray, argsort) -> "StepQuantile":
+        """Sort by ``argsort(vals)``, any sorting permutation of ``vals``,
+        merge exact ties and own the result.
+
+        Each tie run is merged as a stable sort would order it: its masses
+        are summed in input order, and a run of signed zeros keeps the sign
+        of the zero that comes first in the input.  The permutation is made
+        here, not passed in, so that this frame holds its only reference
+        and can free it early.
+        """
+        order = argsort(vals)
+        sorted_vals = vals[order]
+        fresh = _run_starts(sorted_vals)
+        if fresh is None:
+            vals, mass = sorted_vals, mass[order]
+            del order
+        else:
+            firsts = sorted_vals[fresh]
+            # equal doubles share their bits, except 0.0 and -0.0
+            lo = np.searchsorted(sorted_vals, 0.0, side="left")
+            hi = np.searchsorted(sorted_vals, 0.0, side="right")
+            if hi - lo > 1:
+                firsts[np.searchsorted(firsts, 0.0)] = vals[order[lo:hi].min()]
+            del sorted_vals
+            # each entry's run index, accumulated in place (a cumsum of the
+            # bools would allocate a cast copy as well) and scattered back to
+            # input order, so that bincount sums each run in that order
             run = fresh.astype(np.intp)
+            del fresh
             np.cumsum(run, out=run)
             run -= 1
-            mass = np.bincount(run, weights=mass)
-            del run
-            vals = vals[fresh]
+            at = np.empty_like(run)
+            at[order] = run
+            del run, order
+            vals, mass = firsts, np.bincount(at, weights=mass)
         # both arrays are new here, so the object may keep them uncopied
         dist = object.__new__(cls)
         dist._own(vals, mass)
@@ -248,6 +276,10 @@ class PairedSample:
 
     def z_marginal(self) -> StepQuantile:
         return StepQuantile.from_segments(self.z, self.w)
+
+
+def _stable_argsort(x: np.ndarray) -> np.ndarray:
+    return np.argsort(x, kind="stable")
 
 
 def _run_starts(x: np.ndarray) -> np.ndarray | None:

@@ -593,6 +593,16 @@ class TestFailureExits:
         assert payload is None
         assert err == "error: out of memory: Unable to allocate 7.45 GiB\n"
 
+    def test_json_indent_beyond_index_range_is_a_usage_error(self, files, capsys):
+        huge = sys.maxsize + 1
+        code, payload, err = run(
+            capsys, "norm", "--spectrum", files / "avar05.json", "--samples", files / "four.csv",
+            "--json-indent", huge,
+        )
+        assert code == 2
+        assert payload is None
+        assert err == f"error: --json-indent must be at most {sys.maxsize}, got {huge}\n"
+
     def test_nonpositive_weight_reports_line(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,0.5\n2,0\n")

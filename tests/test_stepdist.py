@@ -60,7 +60,11 @@ def reference_canonical(values, masses):
     masses rescaled to unit total, and their suffix sums."""
     vals = np.asarray(values, dtype=float)
     mass = np.asarray(masses, dtype=float)
-    total = float(mass.sum())
+    with np.errstate(over="ignore"):
+        total = float(mass.sum())
+    if math.isinf(total):  # finite masses, overflowing sum: largest to 1 first
+        mass = mass / mass.max()
+        total = float(mass.sum())
     if total != 1.0:
         mass = mass / total
     tails = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
@@ -143,6 +147,66 @@ class TestCanonicalBits:
         vals = sorted(v for v, _ in pos)
         mass = [m for _, m in pos]
         assert same_bits(StepQuantile(vals, mass), reference_canonical(vals, mass))
+
+
+def reversed_ties(values):
+    """A sorting permutation of ``values`` with every tie run reversed:
+    the stable order's opposite within each run."""
+    vals = np.asarray(values, dtype=float)
+    stable = np.argsort(vals, kind="stable")
+    svals = vals[stable]
+    run = np.cumsum(np.concatenate([[True], svals[1:] != svals[:-1]]))
+    return stable[np.lexsort((-np.arange(vals.size), run))]
+
+
+def positive_rows(vm):
+    values, masses = vm
+    rows = [(v, m) for v, m in zip(values, masses) if m > 0]
+    return [v for v, _ in rows], [m for _, m in rows]
+
+
+TIED_RUN = [2.0, -1.0, 2.0, 2.0, 0.5, 2.0, 2.0, 2.0, -1.0, 2.0, 2.0, 2.0]
+
+
+class TestSampleBits:
+    # from_samples sorts with numpy's default, unstable argsort; every tie
+    # run must still merge as the stable reference merges it
+
+    @given(raw_segments(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example(([0.0, -0.0], [0.25, 0.75]), True)
+    @example(([-0.0, 0.0], [0.75, 0.25]), True)
+    @example(([0.0, -0.0, 1.0, -0.0, 0.0], [0.1, 0.3, 0.2, 0.7, 1e-300]), True)
+    @example((TIED_RUN, [0.1 * (k + 1) for k in range(len(TIED_RUN))]), True)
+    @example(([1.0, 3.0, 1.0, 2.0], [1e-300, 0.5, 1e-300, 0.5]), True)
+    @example(([2.0, 1.0, 2.0, 3.0], [1e308, 1.5e308, 2e307, 1e308]), True)
+    def test_from_samples(self, vm, weighted):
+        values, masses = positive_rows(vm)
+        if not weighted:
+            masses = np.full(len(values), 1.0 / len(values))
+        dist = StepQuantile.from_samples(values, masses if weighted else None)
+        assert same_bits(dist, reference_from_segments(values, masses))
+
+    @given(raw_segments())
+    @settings(max_examples=200, deadline=None)
+    @example(([0.0, -0.0], [0.25, 0.75]))
+    @example(([-0.0, 0.0, -0.0], [0.75, 0.25, 0.5]))
+    @example((TIED_RUN, [0.1 * (k + 1) for k in range(len(TIED_RUN))]))
+    def test_any_sorting_permutation(self, vm):
+        values, masses = positive_rows(vm)
+        vals, mass = np.array(values), np.array(masses)
+        ref = reference_from_segments(values, masses)
+        for argsort in (reversed_ties, np.argsort, lambda v: np.argsort(v, kind="stable")):
+            assert same_bits(StepQuantile._canonical(vals, mass, argsort), ref)
+
+    def test_large_tied_weighted_sample(self):
+        rng = np.random.default_rng(7)
+        values = np.round(rng.standard_t(2.5, 100_000) * 10.0, 1)
+        weights = rng.uniform(0.5, 2.0, values.size)
+        ref = reference_from_segments(values, weights)
+        assert ref[0].size < values.size // 10  # long tie runs
+        assert same_bits(StepQuantile.from_samples(values, weights), ref)
+        assert same_bits(StepQuantile._canonical(values, weights, reversed_ties), ref)
 
 
 class TestCallerArrays:
