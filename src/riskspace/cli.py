@@ -62,11 +62,23 @@ def _jsonify(obj):
     return obj
 
 
+def _load(loader, path):
+    """``loader(path)`` for a spectrum or measure file; an error in the
+    file's contents names the file (the OS names it in its own errors)."""
+    try:
+        return loader(path)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, TypeError, RecursionError) as exc:
+        # json raises RecursionError on arrays or objects nested too deep
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_spectrum_dir(path) -> list:
     files = sorted(Path(path).glob("*.json"))
     if not files:
         raise InputFormatError(f"no spectrum files (*.json) in {path}")
-    return [load_spectrum(f) for f in files]
+    return [_load(load_spectrum, f) for f in files]
 
 
 # -- handlers (each returns payload dict and exit code) -------------------------
@@ -133,7 +145,7 @@ def _cmd_kusuoka(args) -> tuple[dict, int]:
         return measure_to_dict(mu), 0
     if args.measure is None:
         raise InputFormatError("to-spectrum needs --measure")
-    sigma = sigma_from_mu(load_measure(args.measure))
+    sigma = sigma_from_mu(_load(load_measure, args.measure))
     return sigma.to_dict(), 0
 
 
@@ -143,7 +155,9 @@ def _cmd_embed(args) -> tuple[dict, int]:
     if pair == sets:
         raise InputFormatError("give either --from/--to or --set-from/--set-to")
     if pair:
-        result = comparability_constant(load_spectrum(args.from_), load_spectrum(args.to))
+        result = comparability_constant(
+            _load(load_spectrum, args.from_), _load(load_spectrum, args.to)
+        )
         return {"constant": result.value, "attaining_alpha": result.attaining_alpha}, 0
     sources = _load_spectrum_dir(args.set_from)
     targets = _load_spectrum_dir(args.set_to)
@@ -327,7 +341,7 @@ def main(argv=None) -> int:
     try:
         # every handler gets --spectrum and then --samples read here, once
         if getattr(args, "spectrum", None) is not None:
-            args.spectrum = load_spectrum(args.spectrum)
+            args.spectrum = _load(load_spectrum, args.spectrum)
         if getattr(args, "samples", None) is not None:
             args.samples = StepQuantile.from_samples(*read_samples_csv(args.samples))
         payload, code = args.handler(args)
@@ -335,9 +349,6 @@ def main(argv=None) -> int:
         document = json.dumps(_jsonify(payload), indent=indent, allow_nan=False)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"input error: line {exc.lineno}: {exc.msg}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -82,14 +82,13 @@ class StepQuantile:
                 raise ValueError("weights must match the sample in length")
             if np.any(w <= 0) or not np.all(np.isfinite(w)):
                 raise ValueError("weights must be strictly positive and finite")
-        # numpy's default sort (SIMD where the CPU has it) is several times
-        # faster than the stable one on raw samples; _canonical makes the
-        # result independent of the permutation it returns
-        return cls._canonical(vals, w, np.argsort)
+        return cls.from_segments(vals, w)
 
     @classmethod
     def from_segments(cls, values, masses) -> "StepQuantile":
-        """Canonicalize raw (value, mass) segments: sort, merge ties, drop zeros."""
+        """Canonicalize raw (value, mass) segments: sort, merge ties, drop zeros.
+        Whatever order the sort leaves ties in, a tie run's masses are summed
+        in input order and a run of signed zeros takes its first zero's sign."""
         vals = np.asarray(values, dtype=float)
         mass = np.asarray(masses, dtype=float)
         if vals.ndim != 1 or vals.shape != mass.shape:
@@ -102,22 +101,7 @@ class StepQuantile:
         del keep
         if vals.size == 0:
             raise ValueError("no segments with positive mass")
-        # the callers pass values that are already sorted runs (|Y|, a clip,
-        # the escapes), which the stable sort merges in linear time
-        return cls._canonical(vals, mass, _stable_argsort)
-
-    @classmethod
-    def _canonical(cls, vals: np.ndarray, mass: np.ndarray, argsort) -> "StepQuantile":
-        """Sort by ``argsort(vals)``, any sorting permutation of ``vals``,
-        merge exact ties and own the result.
-
-        Each tie run is merged as a stable sort would order it: its masses
-        are summed in input order, and a run of signed zeros keeps the sign
-        of the zero that comes first in the input.  The permutation is made
-        here, not passed in, so that this frame holds its only reference
-        and can free it early.
-        """
-        order = argsort(vals)
+        order = np.argsort(vals)
         sorted_vals = vals[order]
         fresh = _run_starts(sorted_vals)
         if fresh is None:
@@ -131,9 +115,8 @@ class StepQuantile:
             if hi - lo > 1:
                 firsts[np.searchsorted(firsts, 0.0)] = vals[order[lo:hi].min()]
             del sorted_vals
-            # each entry's run index, accumulated in place (a cumsum of the
-            # bools would allocate a cast copy as well) and scattered back to
-            # input order, so that bincount sums each run in that order
+            # each entry's run index, summed in place (a cumsum of the bools
+            # would cast a copy) and scattered back to input order for bincount
             run = fresh.astype(np.intp)
             del fresh
             np.cumsum(run, out=run)
@@ -276,10 +259,6 @@ class PairedSample:
 
     def z_marginal(self) -> StepQuantile:
         return StepQuantile.from_segments(self.z, self.w)
-
-
-def _stable_argsort(x: np.ndarray) -> np.ndarray:
-    return np.argsort(x, kind="stable")
 
 
 def _run_starts(x: np.ndarray) -> np.ndarray | None:

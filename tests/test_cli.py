@@ -218,6 +218,7 @@ class TestKusuoka:
         assert code == 2
         assert payload is None
         assert "levels must lie in [0, 1]" in err
+        assert "nan.json" in err
 
     def test_missing_argument(self, files, capsys):
         code, payload, err = run(capsys, "kusuoka", "to-measure")
@@ -456,6 +457,7 @@ def test_invalid_spectrum_file_exits_2(files, capsys, monkeypatch, command, bad)
     assert code == 2
     assert payload is None
     assert message in err
+    assert "bad.json" in err
 
 
 class TestFailureExits:
@@ -620,6 +622,29 @@ class TestFailureExits:
         )
         assert code == 2
         assert "line" in err
+        assert "bad.json" in err
+
+    def test_deeply_nested_spectrum_json(self, files, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        code, payload, err = run(
+            capsys, "norm", "--spectrum", bad, "--samples", files / "four.csv"
+        )
+        assert code == 2
+        assert payload is None
+        assert err.startswith(f"error: {bad}: maximum recursion depth exceeded")
+
+    def test_truncated_file_in_a_spectrum_set(self, files, capsys, monkeypatch):
+        # the error names the member file, not just a line of some file
+        (files / "setB" / "z.json").write_text('{"kind": "avar",\n')
+        monkeypatch.chdir(files)
+        code, payload, err = run(capsys, "embed", "--set-from", "setA", "--set-to", "setB")
+        assert code == 2
+        assert payload is None
+        assert err == (
+            f"input error: {Path('setB', 'z.json')}: line 2: "
+            "Expecting property name enclosed in double quotes\n"
+        )
 
     def test_unknown_spectrum_kind(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.json"

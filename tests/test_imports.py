@@ -64,7 +64,7 @@ print(json.dumps({"before": before, "after": scipy_count(), "result": result}))
 
 
 # installs the benchmark tracer's wrappers, then builds and evaluates
-# spectra under them; reports the layers that recorded a span
+# spectra and a step law under them; reports the layers that recorded a span
 _TRACER_PROBE = """
 import importlib.util, json, sys
 
@@ -73,13 +73,17 @@ tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
 recorder = tracer.Tracer()
 tracer.install(recorder)
-from riskspace import AvarSpectrum, InvalidSpectrumError, StepSpectrum
+from riskspace import AvarSpectrum, InvalidSpectrumError, StepQuantile, StepSpectrum
 try:
     StepSpectrum([0.0, 0.5, 1.0], [1.5, 0.5])
     rejected = False
 except InvalidSpectrumError:
     rejected = True
 AvarSpectrum(0.5).tail_from_gap(0.25)
+law = StepQuantile.from_samples([-2.0, 1.0, 1.0, 3.0])
+law.abs()
+law.upper_integral(0.5)
+law.quantile(0.5)
 print(json.dumps({"rejected": rejected, "layers": sorted({s[1] for s in recorder.spans})}))
 """
 
@@ -168,9 +172,13 @@ def test_public_names_resolve():
 
 
 def test_benchmark_tracer_patch_points_exist(tmp_path):
-    # the tracer wraps Spectrum.require_valid and each spectrum class's own
-    # tail_from_gap by name; moving or renaming one breaks its install()
+    # the tracer wraps Spectrum.require_valid, each spectrum class's own
+    # tail_from_gap and StepQuantile's own from_samples, abs, upper_integral
+    # and quantile by name; moving or renaming one breaks its install()
     tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
     report = _child(tmp_path, _TRACER_PROBE, str(tracer))
     assert report["rejected"] is True
-    assert {"spectrum.require_valid", "spectrum.tail_from_gap"} <= set(report["layers"])
+    assert {
+        "spectrum.require_valid", "spectrum.tail_from_gap", "stepdist.from_samples",
+        "stepdist.abs", "stepdist.upper_integral", "stepdist.quantile",
+    } <= set(report["layers"])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -133,6 +134,8 @@ class TestCanonicalBits:
     @example(([3.0], [0.7]))
     @example(([1.0, -1.0, 0.0, -0.0], [1e-300, 1e-300, 0.5, 0.5]))
     @example(([-3.0, -0.0, 0.0, 3.0], [1e-300, 0.25, 0.25, 1e-300]))
+    # a sorted signed law: |Y| arrives as a falling run, then a rising one
+    @example(([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 3.0], [0.1, 0.2, 0.1, 0.05, 0.15, 0.3, 0.1]))
     def test_from_segments_and_abs(self, vm):
         values, masses = vm
         dist = StepQuantile.from_segments(values, masses)
@@ -149,14 +152,22 @@ class TestCanonicalBits:
         assert same_bits(StepQuantile(vals, mass), reference_canonical(vals, mass))
 
 
+# numpy's own argsort, which the injected permutations below call
+_ARGSORT = np.argsort
+
+
 def reversed_ties(values):
     """A sorting permutation of ``values`` with every tie run reversed:
     the stable order's opposite within each run."""
     vals = np.asarray(values, dtype=float)
-    stable = np.argsort(vals, kind="stable")
+    stable = _ARGSORT(vals, kind="stable")
     svals = vals[stable]
     run = np.cumsum(np.concatenate([[True], svals[1:] != svals[:-1]]))
     return stable[np.lexsort((-np.arange(vals.size), run))]
+
+
+# sorting permutations the canonicalisation must not depend on
+SORTS = (reversed_ties, _ARGSORT, lambda v: _ARGSORT(v, kind="stable"))
 
 
 def positive_rows(vm):
@@ -169,8 +180,8 @@ TIED_RUN = [2.0, -1.0, 2.0, 2.0, 0.5, 2.0, 2.0, 2.0, -1.0, 2.0, 2.0, 2.0]
 
 
 class TestSampleBits:
-    # from_samples sorts with numpy's default, unstable argsort; every tie
-    # run must still merge as the stable reference merges it
+    # the constructors sort with numpy's default, unstable argsort; every
+    # tie run must still merge as the stable reference merges it
 
     @given(raw_segments(), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -190,14 +201,26 @@ class TestSampleBits:
     @given(raw_segments())
     @settings(max_examples=200, deadline=None)
     @example(([0.0, -0.0], [0.25, 0.75]))
+    @example(([2.0, 1.0, 2.0, 3.0], [1e308, 1.5e308, 2e307, 1e308]))
+    def test_samples_are_segments(self, vm):
+        values, masses = positive_rows(vm)
+        seg = StepQuantile.from_segments(values, masses)
+        assert same_bits(StepQuantile.from_samples(values, masses),
+                         (seg.values, seg.masses, seg.tail_masses))
+
+    @given(raw_segments())
+    @settings(max_examples=200, deadline=None)
+    @example(([0.0, -0.0], [0.25, 0.75]))
     @example(([-0.0, 0.0, -0.0], [0.75, 0.25, 0.5]))
     @example((TIED_RUN, [0.1 * (k + 1) for k in range(len(TIED_RUN))]))
     def test_any_sorting_permutation(self, vm):
-        values, masses = positive_rows(vm)
-        vals, mass = np.array(values), np.array(masses)
+        values, masses = vm
         ref = reference_from_segments(values, masses)
-        for argsort in (reversed_ties, np.argsort, lambda v: np.argsort(v, kind="stable")):
-            assert same_bits(StepQuantile._canonical(vals, mass, argsort), ref)
+        for perm in SORTS:
+            with mock.patch.object(np, "argsort", side_effect=perm) as argsort:
+                dist = StepQuantile.from_segments(values, masses)
+            assert argsort.called
+            assert same_bits(dist, ref)
 
     def test_large_tied_weighted_sample(self):
         rng = np.random.default_rng(7)
@@ -205,8 +228,11 @@ class TestSampleBits:
         weights = rng.uniform(0.5, 2.0, values.size)
         ref = reference_from_segments(values, weights)
         assert ref[0].size < values.size // 10  # long tie runs
-        assert same_bits(StepQuantile.from_samples(values, weights), ref)
-        assert same_bits(StepQuantile._canonical(values, weights, reversed_ties), ref)
+        for perm in SORTS:
+            with mock.patch.object(np, "argsort", side_effect=perm) as argsort:
+                dist = StepQuantile.from_samples(values, weights)
+            assert argsort.called
+            assert same_bits(dist, ref)
 
 
 class TestCallerArrays:
