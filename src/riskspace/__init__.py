@@ -3,10 +3,10 @@
 The package works with finitely supported laws throughout: distributions are
 step quantile functions, spectra are nonnegative nondecreasing unit-mass
 weights on (0, 1), and every risk value, norm, dual gauge, mixing measure and
-embedding constant is computed in closed form on the step structure.  Two
-closed-form families (AVaR and the inverse-square-root spectrum) and
-``GeneralSpectrum``, closed forms the caller declares in gap coordinates,
-cover the non-step cases.
+embedding constant is computed in closed form on the step structure.  AVaR
+spectra are step spectra.  One closed-form family, the inverse-square-root
+spectrum, and ``GeneralSpectrum``, closed forms the caller declares in gap
+coordinates, cover the non-step cases.
 """
 
 from .dual import (

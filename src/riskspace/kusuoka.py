@@ -21,11 +21,11 @@ from typing import Iterable
 import numpy as np
 
 from .risk import spectral_risk
-from .spectrum import Spectrum, StepSpectrum, _keep
+from .spectrum import NORMALIZATION_ATOL, Spectrum, StepSpectrum, _keep
 from .stepdist import StepQuantile
 
-#: constructor rejects weight totals further than this from 1
-WEIGHT_SUM_ATOL = 1e-10
+#: atoms a measure's repr lists before it summarises the rest
+_REPR_ATOMS = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,15 +54,18 @@ class KusuokaMeasure:
         if not ((w > 0) & (w < np.inf)).all():
             raise ValueError("weights must be strictly positive and finite")
         total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_ATOL:
-            raise ValueError(f"weights sum to {total:.12g}, not 1 within {WEIGHT_SUM_ATOL:g}")
+        if abs(total - 1.0) > NORMALIZATION_ATOL:
+            raise ValueError(f"weights sum to {total:.12g}, not 1 within {NORMALIZATION_ATOL:g}")
         if total != 1.0:
             w /= total
         _keep(self, levels=lv, weights=w)
 
     def __repr__(self) -> str:
-        atoms = ", ".join(f"({a:g}, {w:g})" for a, w in zip(self.levels, self.weights))
-        return f"KusuokaMeasure([{atoms}])"
+        head = zip(self.levels[:_REPR_ATOMS], self.weights[:_REPR_ATOMS])
+        atoms = [f"({a:g}, {w:g})" for a, w in head]
+        if self.levels.size > _REPR_ATOMS:  # a summary, as numpy prints a long array
+            atoms.append(f"... {self.levels.size - _REPR_ATOMS} more")
+        return f"KusuokaMeasure([{', '.join(atoms)}])"
 
     def atoms(self) -> list[tuple[float, float]]:
         return [(float(a), float(w)) for a, w in zip(self.levels, self.weights)]

@@ -15,6 +15,7 @@ from .spectrum import StepSpectrum
 from .stepdist import PairedSample, StepQuantile
 
 VALUE_RANGE = 10.0
+MAX_JOINT_ROWS = 64
 
 
 def random_step_spectrum(rng: np.random.Generator, max_cells: int = 8) -> StepSpectrum:
@@ -38,9 +39,9 @@ def random_quantile(
     return StepQuantile.from_segments(values, rng.exponential(1.0, n))
 
 
-def random_joint(rng: np.random.Generator, max_rows: int = 64) -> PairedSample:
+def random_joint(rng: np.random.Generator) -> PairedSample:
     """Random weighted joint rows; marginals are generic step quantiles."""
-    n = int(rng.integers(1, max_rows + 1))
+    n = int(rng.integers(1, MAX_JOINT_ROWS + 1))
     y = rng.uniform(-VALUE_RANGE, VALUE_RANGE, n)
     z = rng.uniform(-VALUE_RANGE, VALUE_RANGE, n)
     w = rng.exponential(1.0, n)

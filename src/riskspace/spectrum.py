@@ -124,6 +124,11 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_levels(u: np.ndarray, what: str) -> None:
+    if not ((u >= 0) & (u <= 1)).all():  # a positive condition, which NaN fails
+        raise ValueError(f"{what} is defined for levels in [0, 1]")
+
+
 def _check_targets(targets: np.ndarray, total: float) -> None:
     outside = targets[~((targets >= 0.0) & (targets <= total))]
     if outside.size:
@@ -222,6 +227,7 @@ class Spectrum:
     @_scalar_or_array
     def density(self, u):
         """sigma(u), read from the gap form at g = 1 - u."""
+        _check_levels(u, "density")
         return self.density_from_gap(1.0 - u)
 
     def density_from_gap(self, g):
@@ -231,8 +237,7 @@ class Spectrum:
     @_scalar_or_array
     def tail(self, alpha):
         """Tail weight S(alpha) = integral of sigma over [alpha, 1)."""
-        if np.any((alpha < 0) | (alpha > 1)):
-            raise ValueError("tail weight is defined for levels in [0, 1]")
+        _check_levels(alpha, "tail weight")
         return self.tail_from_gap(1.0 - alpha)
 
     def tail_from_gap(self, g):
@@ -348,7 +353,7 @@ class StepSpectrum(Spectrum):
         # _steps is the density as a step function of the gap: cell k, the
         # gaps of [b[k], b[k+1]), is (1 - b[k+1], 1 - b[k]]
         _keep(self, breakpoints=bp, values=vals, rescale_factor=factor,
-              _widths=widths,  # read by _check and lq_norm
+              _widths=widths,  # read by lq_norm
               _mass=integral * factor, kink_gaps=kink_gaps,
               _steps=_GapSteps(kink_gaps[::-1], vals))
         self.require_valid()
@@ -357,6 +362,7 @@ class StepSpectrum(Spectrum):
 
     @_scalar_or_array
     def density(self, u):
+        _check_levels(u, "density")
         idx = np.searchsorted(self.breakpoints, u, side="right") - 1
         return self.values[np.clip(idx, 0, self.values.size - 1)]
 

@@ -152,17 +152,14 @@ class StepQuantile:
         return _GapSteps(self.tail_masses, self.values)
 
     def quantile(self, p):
-        """Right-continuous quantile inf{y : P(Y <= y) > p}: the value whose
-        cumulative interval [P(Y < y), P(Y <= y)) contains p.
-
-        Takes a level or an array of levels, all in [0, 1).
+        """Right-continuous quantile inf{y : P(Y <= y) > p}, read on the exact
+        tail masses as the value at gap ``1 - p`` (segment k owns the gaps
+        (T_{k+1}, T_k]).  Takes a level or an array of levels, all in [0, 1).
         """
         ps = np.asarray(p, dtype=float)
         if not np.all((ps >= 0.0) & (ps < 1.0)):
             raise ValueError("quantile levels lie in [0, 1)")
-        idx = np.searchsorted(np.cumsum(self.masses), ps, side="right")
-        out = self.values[np.minimum(idx, self.values.size - 1)]
-        return float(out) if ps.ndim == 0 else out
+        return self.value_at_gap(1.0 - ps)
 
     @_scalar_or_array
     def upper_integral(self, gaps):
@@ -210,13 +207,13 @@ class StepQuantile:
         return self._mapped(np.multiply, factor, "scale factor")
 
     def _mapped(self, op, c: float, what: str) -> "StepQuantile":
-        """The law of ``op(Y, c)``; ``OverflowError`` when a finite ``c``
-        takes a value beyond the largest double."""
+        """The law of ``op(Y, c)``, ties merged by ``from_segments``; ``OverflowError``
+        when a finite ``c`` takes a value beyond the largest double."""
         with np.errstate(over="ignore", invalid="ignore"):
             vals = op(self.values, float(c))
         if math.isfinite(c) and not np.isfinite(vals).all():
             raise OverflowError(f"{what} {c:g} takes a quantile value beyond the largest double")
-        return StepQuantile(vals, self.masses)
+        return StepQuantile.from_segments(vals, self.masses)
 
     def clip_upper(self, level: float) -> "StepQuantile":
         return StepQuantile.from_segments(np.minimum(self.values, float(level)), self.masses)

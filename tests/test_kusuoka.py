@@ -273,3 +273,11 @@ class TestFileForm:
 def test_measure_repr_lists_its_atoms():
     mu = KusuokaMeasure(np.array([0.0, 0.5]), np.array([0.25, 0.75]))
     assert repr(mu) == "KusuokaMeasure([(0, 0.25), (0.5, 0.75)])"
+
+
+def test_large_measure_repr_is_a_summary():
+    n = 10**5
+    mu = KusuokaMeasure(np.arange(n) / n, np.full(n, 1.0 / n))
+    text = repr(mu)
+    assert len(text) < 1000
+    assert text.startswith("KusuokaMeasure([(0, 1e-05), ") and f"{n - 6} more" in text

@@ -742,6 +742,21 @@ class TestDomainErrors:
                 with pytest.raises(ValueError, match=r"levels in \[0, 1\]"):
                     sigma.tail(bad)
 
+    @pytest.mark.parametrize("reader", ["tail", "density"])
+    @pytest.mark.parametrize("bad", [math.nan, np.array([0.5, math.nan]), -0.1, 1.5])
+    def test_level_readers_reject_nan_and_outside_levels(self, reader, bad):
+        # one positive condition, which a NaN fails, for the step form's own
+        # density lookup and the gap-derived forms alike
+        step = StepSpectrum([0.0, 0.5, 1.0], [0.5, 1.5])
+        for sigma in (step, PowerSqrtSpectrum(), _general_rising()):
+            with pytest.raises(ValueError, match=r"levels in \[0, 1\]"):
+                getattr(sigma, reader)(bad)
+
+    def test_level_readers_accept_the_closed_interval(self):
+        sigma = StepSpectrum([0.0, 0.5, 1.0], [0.5, 1.5])
+        assert sigma.density(np.array([0.0, 1.0])).tolist() == [0.5, 1.5]
+        assert sigma.tail(np.array([0.0, 1.0])).tolist() == [1.0, 0.0]
+
     def test_lq_norm_below_one(self):
         for sigma in (AvarSpectrum(0.5), PowerSqrtSpectrum()):
             with pytest.raises(ValueError, match="Lq norms need q >= 1"):

@@ -99,6 +99,28 @@ def same_bits(dist, ref):
     )
 
 
+def law_arrays(dist):
+    return dist.values, dist.masses, dist.tail_masses
+
+
+def fuzz_law(rng):
+    """A law of 1 to 99 segments: runs of consecutive doubles, which any
+    rounding merges, small values to be shifted by far more, or values of
+    any magnitude up to 1e300; masses spread over up to 300 decades."""
+    n = int(rng.integers(1, 100))
+    magnitude = 10.0 ** rng.uniform(-300.0, 300.0)
+    kind = rng.integers(4)
+    if kind == 0:
+        start = np.float64(rng.uniform(0.5, 1.0) * magnitude).view(np.int64)
+        vals = np.sort((start + np.arange(n)).view(np.float64) * rng.choice([-1.0, 1.0]))
+    elif kind == 1:
+        vals = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    else:
+        vals = rng.uniform(-1.0, 1.0, n) * magnitude
+    masses = 10.0 ** (rng.uniform(-150.0, 150.0) + rng.uniform(-150.0, 150.0, n))
+    return StepQuantile.from_segments(vals, masses)
+
+
 @st.composite
 def raw_segments(draw):
     """Unsorted segments with exact ties (runs of 8 or more among them),
@@ -522,6 +544,21 @@ class TestQuantile:
         assert qs.tolist() == [d.quantile(p) for p in ps]
         assert isinstance(d.quantile(0.5), float)
 
+    @given(values_masses() | tiny_values_masses(),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_levels_read_the_gap_steps(self, vm, drawn):
+        # the rounded cumulative boundaries, their neighbours and the levels
+        # one minus a tail mass, where the two coordinates disagree most
+        d = StepQuantile.from_segments(*vm)
+        cums = np.cumsum(d.masses)
+        ps = np.concatenate([drawn, cums, np.nextafter(cums, 0.0), np.nextafter(cums, 1.0),
+                             1.0 - d.tail_masses])
+        ps = ps[(ps >= 0.0) & (ps < 1.0)]
+        assert d.quantile(ps).tobytes() == d.value_at_gap(1.0 - ps).tobytes()
+        for p in ps.tolist():
+            assert d.quantile(p).hex() == d.value_at_gap(1.0 - p).hex()
+
     def test_array_level_domain(self):
         d = StepQuantile.from_samples([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -590,6 +627,36 @@ class TestTransforms:
                      lambda: d.scale(math.inf), lambda: d.scale(math.nan)):
             with pytest.raises(ValueError, match="must be finite"):
                 make()
+
+    def test_shift_merges_the_ties_its_rounding_makes(self):
+        d = StepQuantile([0.0, 1.0], [0.5, 0.5]).shift(1e20)
+        assert d.n_segments == 1
+        assert d.values.tolist() == [1e20] and d.masses.tolist() == [1.0]
+
+    def test_scale_merges_the_ties_its_rounding_makes(self):
+        d = StepQuantile([-2e-300, -1e-300, 1e-300], [0.25, 0.25, 0.5]).scale(1e-30)
+        # both negative values underflow to -0.0, the positive one to 0.0: one
+        # run of zeros, with the sign of its first
+        assert d.values.tolist() == [0.0] and math.copysign(1.0, d.values[0]) == -1.0
+        assert d.masses.tolist() == [1.0]
+
+    def test_transforms_are_canonical(self):
+        """``shift`` and ``scale`` equal ``from_segments`` of the mapped values
+        bit for bit, and where rounding made no ties, the direct constructor
+        (which merges none) too: 15 000 seeded laws, each shifted and scaled."""
+        rng = np.random.default_rng(27)
+        tied = 0
+        for _ in range(15_000):
+            d = fuzz_law(rng)
+            c = float(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 17.0))
+            f = float(rng.uniform(0.0, 4.0)) or 1.0  # scale(0) is its own case
+            for got, vals in ((d.shift(c), d.values + c), (d.scale(f), d.values * f)):
+                assert same_bits(got, law_arrays(StepQuantile.from_segments(vals, d.masses)))
+                if (vals[1:] > vals[:-1]).all():
+                    assert same_bits(got, law_arrays(StepQuantile(vals, d.masses)))
+                else:
+                    tied += 1
+        assert 5_000 < tied < 25_000  # both branches well exercised
 
     def test_scale_zero_collapses(self):
         d = StepQuantile.from_samples([1.0, 3.0])
