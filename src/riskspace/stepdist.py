@@ -152,14 +152,19 @@ class StepQuantile:
         return _GapSteps(self.tail_masses, self.values)
 
     def quantile(self, p):
-        """Right-continuous quantile inf{y : P(Y <= y) > p}, read on the exact
-        tail masses as the value at gap ``1 - p`` (segment k owns the gaps
-        (T_{k+1}, T_k]).  Takes a level or an array of levels, all in [0, 1).
+        """Right-continuous quantile inf{y : P(Y <= y) > p}: the value whose
+        cumulative interval [P(Y < y), P(Y <= y)) contains p.  Levels are
+        placed on masses summed from the bottom, which resolve the lowest
+        segments; the gap ``1 - p`` would round away any below an ulp of 1.
+
+        Takes a level or an array of levels, all in [0, 1).
         """
         ps = np.asarray(p, dtype=float)
         if not np.all((ps >= 0.0) & (ps < 1.0)):
             raise ValueError("quantile levels lie in [0, 1)")
-        return self.value_at_gap(1.0 - ps)
+        idx = np.searchsorted(np.cumsum(self.masses), ps, side="right")
+        out = self.values[np.minimum(idx, self.values.size - 1)]
+        return float(out) if ps.ndim == 0 else out
 
     @_scalar_or_array
     def upper_integral(self, gaps):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -544,20 +545,36 @@ class TestQuantile:
         assert qs.tolist() == [d.quantile(p) for p in ps]
         assert isinstance(d.quantile(0.5), float)
 
-    @given(values_masses() | tiny_values_masses(),
-           st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+    def test_bottom_mass_below_an_ulp_of_one(self):
+        # P(Y <= 0) is about 1e-20: 1 - p rounds it away, the level itself does not
+        d = StepQuantile([0.0, 1.0], [1e-20, 1.0])
+        assert d.quantile(0.0) == 0.0 and d.quantile(1e-30) == 0.0
+        assert d.quantile(2e-20) == 1.0
+        assert d.quantile(np.array([0.0, 1e-30, 2e-20, 0.5])).tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    @given(values_masses() | tiny_values_masses())
     @settings(max_examples=100, deadline=None)
-    def test_levels_read_the_gap_steps(self, vm, drawn):
-        # the rounded cumulative boundaries, their neighbours and the levels
-        # one minus a tail mass, where the two coordinates disagree most
+    def test_levels_find_their_exact_cell(self, vm):
+        """Each segment owns the levels [P(Y < v_k), P(Y <= v_k)) of the exact
+        (Fraction) prefix sums; its midpoint is read, scalar and in an array,
+        wherever the cell is wide against the rounding of a float prefix sum."""
         d = StepQuantile.from_segments(*vm)
-        cums = np.cumsum(d.masses)
-        ps = np.concatenate([drawn, cums, np.nextafter(cums, 0.0), np.nextafter(cums, 1.0),
-                             1.0 - d.tail_masses])
-        ps = ps[(ps >= 0.0) & (ps < 1.0)]
-        assert d.quantile(ps).tobytes() == d.value_at_gap(1.0 - ps).tobytes()
-        for p in ps.tolist():
-            assert d.quantile(p).hex() == d.value_at_gap(1.0 - p).hex()
+        n = d.n_segments
+        heads = [Fraction(0)]
+        for m in d.masses.tolist():
+            heads.append(heads[-1] + Fraction(m))
+        cells, mids = [], []
+        for k in range(n):
+            lo, hi = heads[k], heads[k + 1]
+            mid = float((lo + hi) / 2)
+            if k == 0 or hi - lo > 4 * n * 2.0 ** -52 * hi:
+                assert lo <= Fraction(mid) < hi
+                cells.append(k)
+                mids.append(mid)
+        got = d.quantile(np.array(mids))
+        assert got.tolist() == d.values[cells].tolist()
+        assert [d.quantile(p) for p in mids] == got.tolist()
+        assert d.quantile(0.0) == d.values[0]
 
     def test_array_level_domain(self):
         d = StepQuantile.from_samples([1.0, 2.0])
