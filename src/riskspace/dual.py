@@ -54,9 +54,13 @@ DOMINANCE_SLACK = 1e-12
 class DualNorm:
     """Value of the dual gauge and the level attaining it.
 
-    ``attaining_alpha`` is ``1 - g`` for the first scanned gap ``g``, the gap
-    1 or a tail mass of ``|Z|``, at which the ratio peaks.  The value is exact
-    for every valid spectrum, step or not.
+    Two functions return it.  ``dual_norm`` gives ``|Z|``'s gauge, exact for
+    every valid spectrum, step or not; ``comparability_constant`` gives the
+    gauge of ``sigma_target(U)`` under the source, which is the best constant
+    between the two norms.  ``attaining_alpha`` is ``1 - g`` for the first
+    scanned gap ``g`` at which the ratio peaks (the gap 1 or a tail mass of
+    ``|Z|``, or a gap node of the target), and 1.0 stands for the ``a -> 1``
+    limit.
     """
 
     value: float

@@ -7,10 +7,12 @@ indicators.  ``S_target(1 - g)`` is the top-``g`` integral of
 source, and the lemma of the ``dual`` module applies: a step target's
 ``S_target`` is linear between its gap nodes with a nonnegative intercept,
 the source's is concave, so the ratio peaks at a node, whatever the source.
-A target that is not a step spectrum has an exact constant in one case: its
-``density_sup`` is infinite and the source's finite, so the ``a -> 1`` limit
-``sigma_target(1-) / sigma_source(1-)`` (l'Hopital) is infinite.  Every other
-pair raises ``TypeError``.
+The result is the gauge's own record, ``DualNorm``; ``EmbeddingConstant``
+is another name for that class.  A target that is not a step spectrum has
+an exact constant in one case: its ``density_sup`` is infinite and the
+source's finite, so the ``a -> 1`` limit ``sigma_target(1-) /
+sigma_source(1-)`` (l'Hopital) is infinite.  Every other pair raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dual import DualNorm
 from .kusuoka import _spectrum_set
 from .risk import avar
 from .spectrum import Spectrum, StepSpectrum
@@ -28,17 +31,8 @@ from .stepdist import StepQuantile
 #: AVaR sandwich inequalities may undershoot by this much and still certify
 SANDWICH_SLACK = 1e-12
 
-
-@dataclass(frozen=True)
-class EmbeddingConstant:
-    """Best constant of one spectral norm against another, exact.
-
-    ``attaining_alpha`` locates the supremum of the tail-weight ratio, with
-    1.0 standing for the ``a -> 1`` limit.
-    """
-
-    value: float
-    attaining_alpha: float
+#: the best constant between two spectral norms is a dual gauge
+EmbeddingConstant = DualNorm
 
 
 @dataclass(frozen=True)
@@ -51,7 +45,7 @@ class SandwichReport:
     holds: bool
 
 
-def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConstant:
+def comparability_constant(source: Spectrum, target: Spectrum) -> DualNorm:
     """Smallest c with ||Y||_target <= c ||Y||_source, as sup of tail ratios.
 
     Exact in three cases: ``c(sigma, sigma) = 1``, a step target (scanned at
@@ -61,15 +55,15 @@ def comparability_constant(source: Spectrum, target: Spectrum) -> EmbeddingConst
     ``PowerSqrtSpectrum``s; no code can prove two declared closed forms equal.
     """
     if source == target:
-        return EmbeddingConstant(1.0, 0.0)
+        return DualNorm(1.0, 0.0)
     if isinstance(target, StepSpectrum):
         gaps = target.kink_gaps[:0:-1]
         ratio = target.tail_from_gap(gaps) / source.tail_from_gap(gaps)
         i = int(np.argmax(ratio))
-        return EmbeddingConstant(float(ratio[i]), float(1.0 - gaps[i]))
+        return DualNorm(float(ratio[i]), float(1.0 - gaps[i]))
     sup = source.density_sup
     if target.density_sup == math.inf and sup is not None and sup < math.inf:
-        return EmbeddingConstant(math.inf, 1.0)
+        return DualNorm(math.inf, 1.0)
     raise TypeError(
         f"comparability from {type(source).__name__} to {type(target).__name__} is exact "
         "only for a spectrum against itself, a step target (apply step_approx) or an "

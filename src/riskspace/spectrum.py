@@ -129,6 +129,11 @@ def _check_levels(u: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is defined for levels in [0, 1]")
 
 
+def _check_gaps(g: np.ndarray) -> None:
+    if not (g >= 0).all():  # a positive condition, which NaN fails
+        raise ValueError("gap readers are defined for gaps >= 0")
+
+
 def _check_targets(targets: np.ndarray, total: float) -> None:
     outside = targets[~((targets >= 0.0) & (targets <= total))]
     if outside.size:
@@ -138,10 +143,11 @@ def _check_targets(targets: np.ndarray, total: float) -> None:
 class _GapSteps:
     """A step function of the gap: ``values[k]`` on the cell ``(nodes[k+1], nodes[k]]``.
 
-    ``nodes`` descend and end at 0.  Gap 0 lies in the last cell, and gaps
-    outside ``[0, nodes[0]]`` in the nearest cell.  Integrals run from gap 0
-    upward with their sums accumulated from there, so gaps far below one ulp
-    of 1 keep their relative accuracy.  The methods take float arrays.
+    ``nodes`` descend and end at 0.  Gap 0 lies in the last cell and gaps
+    above ``nodes[0]`` in the first; NaN and negative gaps raise
+    ``ValueError``.  Integrals run from gap 0 upward with their sums
+    accumulated from there, so gaps far below one ulp of 1 keep their
+    relative accuracy.  The methods take float arrays.
     """
 
     def __init__(self, nodes: np.ndarray, values: np.ndarray):
@@ -150,6 +156,7 @@ class _GapSteps:
 
     def cell(self, g: np.ndarray) -> np.ndarray:
         """Index ``k`` of the cell ``(nodes[k+1], nodes[k]]`` holding each gap."""
+        _check_gaps(g)
         n = self.values.size
         k = np.searchsorted(self.nodes[::-1], g, side="left")
         np.subtract(n, k, out=k)
@@ -219,7 +226,8 @@ class Spectrum:
     (``density_from_gap``, ``tail_from_gap``, ``tail_power_integral`` and
     ``invert_tail_power``) take a scalar or an array and return a float or a
     float64 array of the same shape; the implementations state it with
-    ``@_scalar_or_array``.
+    ``@_scalar_or_array``.  Levels outside ``[0, 1]`` and negative gaps
+    raise ``ValueError``, NaN included; a gap above 1 is read.
     """
 
     # -- evaluation ------------------------------------------------------
@@ -276,17 +284,18 @@ class Spectrum:
         sigma**q over [0, t] hitting its target, per the flat-spot tie rule.
         """
         # bisection on the bit patterns of the gaps, which order the
-        # nonnegative doubles: the pattern range (lo, hi] starts below +0.0
-        # and ends at 1.0, is narrower than 2**62, and after 62 halvings hi
-        # is the smallest gap whose integral reaches the target, subnormals
-        # included.  The count is fixed, so no target depends on the batch.
-        # A nondecreasing sigma is flat only at its bottom (large gaps), so
-        # only the total needs the largest gap, 1.
+        # nonnegative doubles: the pattern range (lo, hi] starts at +0.0 and
+        # ends at 1.0, is narrower than 2**62, and after 62 halvings hi is
+        # the smallest gap whose integral reaches the target, subnormals
+        # included; a zero target is reached everywhere, so its hi halves
+        # down to +0.0.  The count is fixed, so no target depends on the
+        # batch.  A nondecreasing sigma is flat only at its bottom (large
+        # gaps), so only the total needs the largest gap, 1.
         total = float(self.tail_power_integral(1.0, q))
         if math.isinf(total):
             raise ValueError(f"sigma**{q:g} is not integrable")
         _check_targets(target, total)
-        lo = np.full(target.shape, -1, dtype=np.int64)
+        lo = np.zeros(target.shape, dtype=np.int64)
         hi = np.full(target.shape, np.float64(1.0).view(np.int64))
         for _ in range(62):
             mid = (lo + hi) >> 1
@@ -438,15 +447,20 @@ class PowerSqrtSpectrum(Spectrum):
 
     @_scalar_or_array
     def density_from_gap(self, g):
+        _check_gaps(g)
+        root = np.sqrt(g)
+        np.abs(root, out=root)  # sqrt(-0.0) is -0.0, whose reciprocal is -inf
         with np.errstate(divide="ignore"):
-            return 0.5 / np.sqrt(g)
+            return 0.5 / root
 
     @_scalar_or_array
     def tail_from_gap(self, g):
+        _check_gaps(g)
         return np.sqrt(g)
 
     @_scalar_or_array
     def tail_power_integral(self, g, q: float):
+        _check_gaps(g)
         if q >= 2:
             return np.where(g > 0, math.inf, 0.0)
         expo = 1.0 - q / 2.0
@@ -484,14 +498,17 @@ class GeneralSpectrum(Spectrum):
 
     @_scalar_or_array
     def density_from_gap(self, g):
+        _check_gaps(g)
         return self.gap_density_fn(g)
 
     @_scalar_or_array
     def tail_from_gap(self, g):
+        _check_gaps(g)
         return self.gap_tail_fn(g)
 
     @_scalar_or_array
     def tail_power_integral(self, g, q: float):
+        _check_gaps(g)
         if q == 1.0:
             return self.gap_tail_fn(g)
         if self.tail_power_fn is None:

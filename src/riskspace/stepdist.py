@@ -63,8 +63,10 @@ class StepQuantile:
             mass /= total
             if mass.min() == 0.0:
                 raise ValueError("a segment mass underflows to 0 when normalised")
-        # suffix sums: tail_masses[k] is the mass strictly above segment k-1
-        _keep(self, values=vals, masses=mass, tail_masses=_suffix_sums(mass))
+        # suffix sums: tail_masses[k] is the mass strictly above segment k-1;
+        # _steps is the quantile as a step function of the gap
+        tails = _suffix_sums(mass)
+        _keep(self, values=vals, masses=mass, tail_masses=tails, _steps=_GapSteps(tails, vals))
 
     # -- constructors -----------------------------------------------------
 
@@ -146,11 +148,7 @@ class StepQuantile:
 
     # -- point evaluation --------------------------------------------------
 
-    @cached_property
-    def _steps(self) -> _GapSteps:
-        """The quantile as a step function of the gap, built on first use."""
-        return _GapSteps(self.tail_masses, self.values)
-
+    @_scalar_or_array
     def quantile(self, p):
         """Right-continuous quantile inf{y : P(Y <= y) > p}: the value whose
         cumulative interval [P(Y < y), P(Y <= y)) contains p.  Levels are
@@ -159,12 +157,10 @@ class StepQuantile:
 
         Takes a level or an array of levels, all in [0, 1).
         """
-        ps = np.asarray(p, dtype=float)
-        if not np.all((ps >= 0.0) & (ps < 1.0)):
+        if not ((p >= 0.0) & (p < 1.0)).all():
             raise ValueError("quantile levels lie in [0, 1)")
-        idx = np.searchsorted(np.cumsum(self.masses), ps, side="right")
-        out = self.values[np.minimum(idx, self.values.size - 1)]
-        return float(out) if ps.ndim == 0 else out
+        idx = np.searchsorted(np.cumsum(self.masses), p, side="right")
+        return self.values[np.minimum(idx, self.values.size - 1)]
 
     @_scalar_or_array
     def upper_integral(self, gaps):
@@ -174,19 +170,21 @@ class StepQuantile:
         ``C[k] = sum_{j >= k} v_j (T_j - T_{j+1})``, a gap in segment k's
         cell ``(T_{k+1}, T_k]`` has ``G(g) = C[k+1] + v_k (g - T_{k+1})``.
         The sums are accumulated from the top, so gaps far below one ulp
-        of 1 keep their relative accuracy.  Gaps are clipped to
-        ``[0, T_0]``.  One ``searchsorted`` places them: O((n + m) log n)
-        time and O(n + m) memory for n segments and m gaps.
+        of 1 keep their relative accuracy.  NaN and negative gaps raise
+        ``ValueError``; gaps above ``T_0`` are clipped to it.  One
+        ``searchsorted`` places them: O((n + m) log n) time and O(n + m)
+        memory for n segments and m gaps.
         """
-        g = np.maximum(gaps, 0.0)
-        return self._steps.integral(np.minimum(g, self.tail_masses[0], out=g))
+        return self._steps.integral(np.minimum(gaps, self.tail_masses[0]))
 
     @_scalar_or_array
     def value_at_gap(self, gaps):
         """Quantile value carried at tail-mass position ``g`` from the top.
 
         Segment k owns gaps (T_{k+1}, T_k]; the gap coordinate keeps lookups
-        meaningful where cumulative breakpoints collapse against 1.
+        meaningful where cumulative breakpoints collapse against 1.  NaN and
+        negative gaps raise ``ValueError``; gaps above ``T_0`` read the lowest
+        value.
         """
         return self._steps.at(gaps)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskspace.dual import dual_norm
+from riskspace.dual import DualNorm, dual_norm
 from riskspace.embedding import (
     EmbeddingConstant,
     avar_sandwich_check,
@@ -178,6 +178,10 @@ class TestBenchmarkScale:
 
 
 class TestPairwiseConstants:
+    def test_the_constant_is_the_dual_gauge_record(self):
+        assert EmbeddingConstant is DualNorm
+        assert type(comparability_constant(AvarSpectrum(0.5), AvarSpectrum(0.9))) is DualNorm
+
     def test_avar_pair_hand_value(self):
         result = comparability_constant(AvarSpectrum(0.5), AvarSpectrum(0.9))
         # bit-equal to the defining ratio of gaps; the level 0.9 itself is

@@ -545,6 +545,26 @@ class TestKinkScan:
 
 
 class TestGeneralSpectrum:
+    def test_inversion_never_reads_a_nan_gap(self):
+        # sigma(u) = (1 + u) / 1.5 in closed forms that raise on any NaN,
+        # as the bit patterns below +0.0 would read; zero inverts to gap 0
+        def strict(fn):
+            def wrapped(g, *args):
+                if np.isnan(g).any():
+                    raise AssertionError("a closed form read a NaN gap")
+                return fn(g, *args)
+            return wrapped
+
+        rising = _general_rising()
+        s = GeneralSpectrum(gap_density_fn=strict(rising.gap_density_fn),
+                            gap_tail_fn=strict(rising.gap_tail_fn),
+                            tail_power_fn=strict(rising.tail_power_fn))
+        for q in (1.0, 1.5):
+            total = float(s.tail_power_integral(1.0, q))
+            g = s.invert_tail_power(np.array([0.0, total / 2.0, total]), q)
+            assert g[0] == 0.0 and g[2] == 1.0
+            assert abs(float(s.tail_power_integral(g[1], q)) - total / 2.0) <= 1e-10
+
     def _power(self):
         # sigma(u) = (1/2)(1-u)^(-1/2) expressed through closed forms only
         return GeneralSpectrum(
@@ -756,6 +776,42 @@ class TestDomainErrors:
         sigma = StepSpectrum([0.0, 0.5, 1.0], [0.5, 1.5])
         assert sigma.density(np.array([0.0, 1.0])).tolist() == [0.5, 1.5]
         assert sigma.tail(np.array([0.0, 1.0])).tolist() == [1.0, 0.0]
+
+    @staticmethod
+    def _gap_readers():
+        # every gap reader of each family: a law's two, and a spectrum's three
+        law = StepQuantile.from_samples([1.0, 2.0, 3.0, 4.0])
+        yield "law.value_at_gap", law.value_at_gap
+        yield "law.upper_integral", law.upper_integral
+        step = StepSpectrum([0.0, 0.5, 1.0], [0.5, 1.5])
+        for name, sigma in (("step", step), ("avar", AvarSpectrum(0.5)),
+                            ("power_sqrt", PowerSqrtSpectrum()), ("general", _general_rising())):
+            yield f"{name}.density_from_gap", sigma.density_from_gap
+            yield f"{name}.tail_from_gap", sigma.tail_from_gap
+            yield f"{name}.tail_power_integral", lambda g, s=sigma: s.tail_power_integral(g, 1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, np.array([0.5, math.nan]), -0.1])
+    def test_gap_readers_reject_nan_and_negative_gaps(self, bad):
+        # one positive condition, which a NaN fails, before any cell lookup
+        # or closed form reads the gap
+        for name, reader in self._gap_readers():
+            with pytest.raises(ValueError, match=r"gaps >= 0"):
+                reader(bad)
+                pytest.fail(f"{name} accepted {bad!r}")
+
+    def test_gap_readers_accept_signed_zero(self):
+        # gap 0 reads sigma(1-), which is inf for the square-root spectrum
+        for name, reader in self._gap_readers():
+            at_zero = reader(0.0)
+            assert not math.isnan(at_zero) and at_zero >= 0.0, name
+            assert reader(-0.0) == at_zero, name
+
+    def test_gaps_above_the_top_read_the_nearest_cell(self):
+        # a law's top tail mass may round above 1, so these keep their reading
+        assert StepQuantile.from_samples([1.0, 2.0, 3.0, 4.0]).value_at_gap(1.5) == 1.0
+        # the top cell's linear form, extended: not clipped to S(0) = 1
+        assert AvarSpectrum(0.0).tail_from_gap(1.0 + 2.0**-52) == 1.0 + 2.0**-52
+        assert StepSpectrum([0.0, 0.5, 1.0], [0.5, 1.5]).tail_from_gap(1.5) == 1.25
 
     def test_lq_norm_below_one(self):
         for sigma in (AvarSpectrum(0.5), PowerSqrtSpectrum()):
